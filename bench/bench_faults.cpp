@@ -1,7 +1,8 @@
 // Fault-injection survival: fill each platform preset with suite
 // applications, then fail k tiles simultaneously (k = 1..cap) and
 // measure how many residents the controller re-admits onto the healthy
-// residual — the survival curve fraction(recovered)/stranded per k —
+// residual — the survival curve per k: of the distinct clients any
+// injection stranded, the fraction still resident after the last one —
 // plus the recovery-latency p99 over a seeded fault-churn trace.
 // Prints one JSON object to stdout; the trajectory at
 // ../BENCH_faults.json records the curves across PRs. Exits non-zero
@@ -127,15 +128,21 @@ int main() {
       const std::size_t residentsBefore = fillPlatform(controller, workload);
       const std::vector<platform::TileId> victims = pickVictims(controller, k);
 
-      std::size_t stranded = 0;
-      std::size_t recovered = 0;
+      // A client re-admitted after one injection can be stranded again
+      // by the next, so count distinct clients: every client any
+      // injection stranded, and those of them still resident at the end.
+      std::set<mapping::ClientId> strandedClients;
       double recoverySeconds = 0.0;
       for (const platform::TileId tile : victims) {
         const mapping::RecoveryReport report =
             controller.injectFault(mapping::FaultEvent::tileFailure(tile));
-        stranded += report.stranded.size();
-        recovered += report.recovered.size();
+        strandedClients.insert(report.stranded.begin(), report.stranded.end());
         recoverySeconds += report.seconds;
+      }
+      const std::size_t stranded = strandedClients.size();
+      std::size_t recovered = 0;
+      for (const mapping::ClientId client : controller.residentIds()) {
+        recovered += strandedClients.count(client);
       }
       if (!recoveryIsClean(controller, victims)) {
         healthy = false;  // a recovered platform still references a failure
@@ -207,8 +214,9 @@ int main() {
   std::printf("  \"bench\": \"bench_faults\",\n");
   std::printf(
       "  \"workload\": \"suite mix filled to capacity, k simultaneous tile failures "
-      "(survival = recovered/stranded), plus a 600-event fault churn for the "
-      "recovery-latency distribution\",\n");
+      "(stranded = distinct clients any injection stranded, recovered = those still "
+      "resident after the last injection, survival = recovered/stranded), plus a "
+      "600-event fault churn for the recovery-latency distribution\",\n");
   std::printf("  \"platforms\": [\n%s\n  ],\n", rows.c_str());
   std::printf("  \"healthy\": %s\n", healthy ? "true" : "false");
   std::printf("}\n");

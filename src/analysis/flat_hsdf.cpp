@@ -4,6 +4,7 @@
 
 #include "sdf/hsdf.hpp"
 #include "sdf/repetition_vector.hpp"
+#include "support/timer.hpp"
 
 namespace mamps::analysis {
 
@@ -64,12 +65,11 @@ void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraint
     }
   }
 
-  // Static-order chains (see toHsdfWithStaticOrder): the j-th
-  // appearance of an actor is its firing copy j; consecutive
-  // appearances are linked, the wrap-around edge carries one token.
-  // The encoding is only exact when every bound actor appears exactly
-  // q[a] times on its own resource — validated here, matching the
-  // graph-materializing path's checks.
+  // Static-order chains: the j-th appearance of an actor is its firing
+  // copy j; consecutive appearances are linked, the wrap-around edge
+  // carries one token. The encoding is only exact when every bound
+  // actor appears exactly q[a] times on its own resource — validated
+  // here.
   if (resources != nullptr) {
     resources->validateFor(g);
     std::vector<std::uint64_t> appearance(g.actorCount(), 0);
@@ -180,6 +180,49 @@ const std::vector<CycleRatioEdge>& FlatExpansion::collapse() {
     }
   }
   return collapsed_;
+}
+
+ThroughputResult solveExpansion(FlatExpansion& flat, CycleRatioSolver& solver) {
+  ThroughputResult result;
+  result.engine = ThroughputEngine::Mcr;
+  result.hsdfActors = flat.hsdfActors();
+  if (flat.hsdfActors() == 0) {
+    result.status = ThroughputResult::Status::Deadlock;
+    return result;
+  }
+  const std::vector<CycleRatioEdge>* edges = nullptr;
+  {
+    support::ScopedTimer timer(result.expansionNanos);
+    edges = &flat.collapse();
+  }
+  CycleRatioResult mcr;
+  {
+    support::ScopedTimer timer(result.solveNanos);
+    mcr = solver.solve(static_cast<std::size_t>(flat.hsdfActors()), *edges);
+  }
+  switch (mcr.status) {
+    case CycleRatioResult::Status::Ok:
+      if (mcr.ratio.isZero()) {
+        // Every cycle has zero total execution time: the graph fires
+        // infinitely fast (matches the state-space verdict for a live
+        // zero-time cycle).
+        result.status = ThroughputResult::Status::Unbounded;
+      } else {
+        result.status = ThroughputResult::Status::Ok;
+        result.iterationsPerCycle = mcr.ratio.reciprocal();
+      }
+      return result;
+    case CycleRatioResult::Status::Deadlock:
+      result.status = ThroughputResult::Status::Deadlock;
+      return result;
+    case CycleRatioResult::Status::Acyclic:
+      // No cycle constrains the period. With self-concurrency limits in
+      // {0, 1} this requires every actor to be unconstrained, which only
+      // happens for graphs of limit-0 actors: unbounded throughput.
+      break;
+  }
+  result.status = ThroughputResult::Status::Unbounded;
+  return result;
 }
 
 }  // namespace mamps::analysis

@@ -5,10 +5,10 @@
 // channels per analysis, rebuilt from strings for every design point.
 // FlatExpansion produces the same expansion as contiguous index-based
 // CycleRatioEdge tables instead: no graph object, no names, no
-// per-element allocation. The layout mirrors sdf::toHsdf plus the
-// static-order encoding of toHsdfWithStaticOrder exactly (both use the
-// shared token rule sdf::hsdfTokenDependency, so the encodings cannot
-// drift), and the solved maximum cycle ratio is bit-identical to the
+// per-element allocation. The channel and self-concurrency edges mirror
+// sdf::toHsdf exactly (both use the shared token rule
+// sdf::hsdfTokenDependency, so the encodings cannot drift), and the
+// solved maximum cycle ratio is bit-identical to the
 // graph-materializing path (pinned by tests/perf_test.cpp).
 //
 // The table is split into an immutable prefix and mutable slabs:
@@ -19,7 +19,7 @@
 // initial-token count, re-encoded in O(slab) by patchChannel() when a
 // capacity changes. Both computeThroughputMcr() (build once, solve
 // once) and IncrementalThroughput (build once, patch and re-solve per
-// buffer-growth round) run on this structure.
+// buffer-growth round) run on this structure and share solveExpansion().
 #pragma once
 
 #include <cstdint>
@@ -81,5 +81,17 @@ class FlatExpansion {
   std::vector<std::uint32_t> seenEpoch_;   ///< target -> last source epoch
   std::vector<std::uint32_t> seenSlot_;    ///< target -> collapsed_ index
 };
+
+/// The MCR throughput verdict of an expansion: collapse `flat`, solve
+/// it with `solver`, and read the maximum cycle ratio as a throughput.
+/// An empty expansion is deadlocked; an acyclic expansion or a zero
+/// maximum cycle ratio means unbounded throughput.
+/// @param flat the expansion to solve (collapsed in place)
+/// @param solver the solver to run; its warm-start hints seed the solve
+///   and receive the converged policy
+/// @return the verdict with `engine == ThroughputEngine::Mcr`,
+///   hsdfActors, and the collapse and solve times in
+///   expansionNanos/solveNanos
+[[nodiscard]] ThroughputResult solveExpansion(FlatExpansion& flat, CycleRatioSolver& solver);
 
 }  // namespace mamps::analysis

@@ -1,7 +1,5 @@
 #include "analysis/incremental.hpp"
 
-#include "support/timer.hpp"
-
 namespace mamps::analysis {
 
 using sdf::ChannelId;
@@ -28,7 +26,6 @@ IncrementalThroughput::IncrementalThroughput(const sdf::TimedGraph& timed,
     // concurrency edges, static-order chains) is encoded once here;
     // setInitialTokens only re-encodes the touched channel's slab.
     flat_.build(timed_, res);
-    solver_.setThreads(options_.solverThreads);
   }
 }
 
@@ -50,44 +47,7 @@ ThroughputResult IncrementalThroughput::compute() {
     return resources_ ? computeThroughput(timed_, *resources_, options_)
                       : computeThroughput(timed_, options_);
   }
-
-  ThroughputResult result;
-  result.engine = ThroughputEngine::Mcr;
-  result.hsdfActors = flat_.hsdfActors();
-  if (flat_.hsdfActors() == 0) {
-    result.status = ThroughputResult::Status::Deadlock;
-    return result;
-  }
-
-  const std::vector<CycleRatioEdge>* edges = nullptr;
-  {
-    support::ScopedTimer timer(result.expansionNanos);
-    edges = &flat_.collapse();
-  }
-  CycleRatioResult mcr;
-  {
-    support::ScopedTimer timer(result.solveNanos);
-    mcr = solver_.solve(static_cast<std::size_t>(flat_.hsdfActors()), *edges);
-  }
-  switch (mcr.status) {
-    case CycleRatioResult::Status::Ok:
-      if (mcr.ratio.isZero()) {
-        result.status = ThroughputResult::Status::Unbounded;
-      } else {
-        result.status = ThroughputResult::Status::Ok;
-        result.iterationsPerCycle = mcr.ratio.reciprocal();
-      }
-      return result;
-    case CycleRatioResult::Status::Deadlock:
-      result.status = ThroughputResult::Status::Deadlock;
-      result.iterationsPerCycle = Rational(0);
-      return result;
-    case CycleRatioResult::Status::Acyclic:
-      result.status = ThroughputResult::Status::Unbounded;
-      return result;
-  }
-  result.status = ThroughputResult::Status::Unbounded;
-  return result;
+  return solveExpansion(flat_, solver_);
 }
 
 }  // namespace mamps::analysis

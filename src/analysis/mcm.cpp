@@ -1,23 +1,15 @@
 #include "analysis/mcm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/flat_hsdf.hpp"
-#include "sdf/hsdf.hpp"
 #include "sdf/repetition_vector.hpp"
 #include "support/timer.hpp"
 
 namespace mamps::analysis {
 namespace {
-
-using sdf::ActorId;
-using sdf::ChannelId;
-using sdf::Graph;
 
 using Edge = CycleRatioEdge;
 using Wide = __int128;
@@ -64,297 +56,6 @@ std::vector<Edge> buildEdges(const sdf::TimedGraph& hsdf) {
   return edges;
 }
 
-/// Outcome of one per-component Howard solve.
-struct ComponentOutcome {
-  enum class Kind {
-    NoCycle,   ///< the component contains no cycle (singleton, no self-loop)
-    Deadlock,  ///< a zero-delay cycle (defensive; screened out earlier)
-    Ratio,     ///< maximum cycle ratio num/den computed
-  };
-  Kind kind = Kind::NoCycle;
-  std::int64_t num = 0;  ///< cycle weight sum of the maximum-ratio cycle
-  std::int64_t den = 1;  ///< cycle delay sum (> 0)
-  std::vector<std::uint32_t> successor;  ///< converged policy (local ids)
-};
-
-/// Reusable arenas of one Howard instance. Each solve worker owns one
-/// (the sequential path keeps one in the solver's Scratch, the parallel
-/// path one per thread), so repeated component solves allocate nothing
-/// once the capacities have grown — the vector-of-vectors adjacency this
-/// replaces cost one allocation per node per solve and dominated DSE
-/// sweep profiles.
-struct HowardScratch {
-  std::vector<Edge> local;                   // component edges, local ids
-  std::vector<std::uint32_t> hint;           // local warm-start hints
-  std::vector<std::uint32_t> outOff;         // m+1 CSR offsets
-  std::vector<std::uint32_t> outIdx;         // edge ids, ascending per node
-  std::vector<std::uint32_t> cursor;         // CSR fill cursor
-  std::vector<std::uint32_t> policy;         // node -> chosen edge id
-  std::vector<std::int64_t> ratioNum, ratioDen;
-  std::vector<Wide> valueNum;
-  std::vector<char> hasRatio;
-  std::vector<std::int32_t> mark;
-  std::vector<std::uint32_t> path, cycle;
-};
-
-/// Howard's policy iteration over one strongly connected component,
-/// renumbered to dense local ids 0..m-1; `hs.local` holds local
-/// endpoints, `hs.hint[v]` a local preferred successor (kNoNode = none)
-/// used to seed the initial policy. Maximizes the cycle ratio
-/// sum(w)/sum(d).
-ComponentOutcome howardComponent(std::size_t m, HowardScratch& hs) {
-  ComponentOutcome out;
-  const std::vector<Edge>& edges = hs.local;
-  // CSR adjacency; edge ids stay ascending per node, so "first
-  // out-edge" and the improvement scan order match the plain edge-list
-  // formulation exactly.
-  hs.outOff.assign(m + 1, 0);
-  for (const Edge& e : edges) {
-    ++hs.outOff[e.from + 1];
-  }
-  for (std::size_t v = 0; v < m; ++v) {
-    hs.outOff[v + 1] += hs.outOff[v];
-  }
-  hs.outIdx.resize(edges.size());
-  hs.cursor.assign(m, 0);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const std::uint32_t v = edges[i].from;
-    hs.outIdx[hs.outOff[v] + hs.cursor[v]++] = static_cast<std::uint32_t>(i);
-  }
-
-  constexpr std::uint32_t kNoEdge = 0xffffffffu;
-  hs.policy.assign(m, kNoEdge);
-  for (std::size_t v = 0; v < m; ++v) {
-    if (hs.outOff[v] == hs.outOff[v + 1]) {
-      continue;
-    }
-    // Cold seed: the minimum-delay out-edge (first wins on ties). All
-    // out-edges of an HSDF node carry the same weight — the source's
-    // execution time — so the maximum-ratio cycle is biased toward
-    // token-free edges; seeding with them cuts cold convergence from
-    // dozens of sweeps to a handful. Any seed yields the same unique
-    // fixpoint, so this is purely an iteration-count heuristic.
-    std::uint32_t pick = hs.outIdx[hs.outOff[v]];
-    for (std::uint32_t i = hs.outOff[v] + 1; i < hs.outOff[v + 1]; ++i) {
-      if (edges[hs.outIdx[i]].delay < edges[pick].delay) {
-        pick = hs.outIdx[i];
-      }
-    }
-    hs.policy[v] = pick;
-    if (hs.hint[v] != kNoNode) {
-      for (std::uint32_t i = hs.outOff[v]; i < hs.outOff[v + 1]; ++i) {
-        if (edges[hs.outIdx[i]].to == hs.hint[v]) {
-          hs.policy[v] = hs.outIdx[i];
-          break;
-        }
-      }
-    }
-  }
-  std::vector<std::uint32_t>& policy = hs.policy;
-
-  // Per-node evaluation state. Ratios are kept as *unnormalized*
-  // integer fractions (the raw weight/delay sums of the reached cycle)
-  // and values as 128-bit numerators over the cycle's delay sum; every
-  // comparison cross-multiplies instead of normalizing, which removes
-  // all gcd work from the hot loop. The final answer is materialized as
-  // a normalized Rational, so results are bit-identical to the
-  // rational-arithmetic formulation. Magnitudes stay far inside 128
-  // bits: |valueNum| <= pathLength * (maxWeight + cycleWeight) *
-  // cycleDelay, and comparisons multiply by one more delay sum.
-  hs.ratioNum.assign(m, 0);   // cycle weight sum
-  hs.ratioDen.assign(m, 1);   // cycle delay sum (> 0)
-  hs.valueNum.assign(m, 0);   // potential * ratioDen[v]
-  hs.hasRatio.assign(m, 0);
-  std::vector<std::int64_t>& ratioNum = hs.ratioNum;
-  std::vector<std::int64_t>& ratioDen = hs.ratioDen;
-  std::vector<Wide>& valueNum = hs.valueNum;
-  std::vector<char>& hasRatio = hs.hasRatio;
-  // ratio[a] > ratio[b] as fractions (denominators are positive).
-  const auto ratioGreater = [&](std::size_t a, std::size_t b) {
-    return Wide(ratioNum[a]) * ratioDen[b] > Wide(ratioNum[b]) * ratioDen[a];
-  };
-  const auto ratioEqual = [&](std::size_t a, std::size_t b) {
-    return Wide(ratioNum[a]) * ratioDen[b] == Wide(ratioNum[b]) * ratioDen[a];
-  };
-
-  hs.mark.assign(m, -1);  // visit epoch of the evaluation walks
-  std::vector<std::int32_t>& mark = hs.mark;
-  std::vector<std::uint32_t>& path = hs.path;
-  std::vector<std::uint32_t>& cycle = hs.cycle;
-
-  const std::size_t maxIterations = edges.size() * m + 16;
-  for (std::size_t iteration = 0; iteration < maxIterations; ++iteration) {
-    // --- Policy evaluation -------------------------------------------
-    std::fill(hasRatio.begin(), hasRatio.end(), false);
-    std::fill(mark.begin(), mark.end(), -1);
-    // Find the cycle each node reaches in the functional policy graph.
-    for (std::size_t start = 0; start < m; ++start) {
-      if (policy[start] == kNoEdge || hasRatio[start]) {
-        continue;
-      }
-      // Walk until we hit something marked in this walk (new cycle) or
-      // an already-evaluated node.
-      path.clear();
-      auto v = static_cast<std::uint32_t>(start);
-      while (policy[v] != kNoEdge && mark[v] == -1 && !hasRatio[v]) {
-        mark[v] = static_cast<std::int32_t>(start);
-        path.push_back(v);
-        v = edges[policy[v]].to;
-      }
-      if (policy[v] != kNoEdge && mark[v] == static_cast<std::int32_t>(start) && !hasRatio[v]) {
-        // New cycle found; compute its ratio.
-        std::int64_t w = 0;
-        std::int64_t d = 0;
-        std::uint32_t u = v;
-        do {
-          const Edge& e = edges[policy[u]];
-          w += e.weight;
-          d += e.delay;
-          u = e.to;
-        } while (u != v);
-        if (d == 0) {
-          out.kind = ComponentOutcome::Kind::Deadlock;
-          return out;
-        }
-        // Anchor the cycle: value(v) = 0, propagate around the cycle by
-        // walking forward and solving value(u) = w(u) - r*d(u) +
-        // value(next), all over the common denominator d.
-        valueNum[v] = 0;
-        ratioNum[v] = w;
-        ratioDen[v] = d;
-        hasRatio[v] = true;
-        cycle.clear();
-        u = v;
-        do {
-          cycle.push_back(u);
-          u = edges[policy[u]].to;
-        } while (u != v);
-        for (std::size_t i = cycle.size(); i-- > 1;) {
-          const std::uint32_t node = cycle[i];
-          const Edge& e = edges[policy[node]];
-          valueNum[node] = Wide(e.weight) * d - Wide(w) * e.delay + valueNum[e.to];
-          ratioNum[node] = w;
-          ratioDen[node] = d;
-          hasRatio[node] = true;
-        }
-      } else if (!hasRatio[v]) {
-        // Walk ended at a node without out-edge inside the component —
-        // cannot happen because every component node lies on a cycle.
-        continue;
-      }
-      // Propagate values back along the path (suffix first).
-      for (std::size_t i = path.size(); i-- > 0;) {
-        const std::uint32_t node = path[i];
-        if (hasRatio[node]) {
-          continue;  // part of the freshly evaluated cycle
-        }
-        const Edge& e = edges[policy[node]];
-        valueNum[node] = Wide(e.weight) * ratioDen[e.to] - Wide(ratioNum[e.to]) * e.delay +
-                         valueNum[e.to];
-        ratioNum[node] = ratioNum[e.to];
-        ratioDen[node] = ratioDen[e.to];
-        hasRatio[node] = true;
-      }
-    }
-
-    // --- Policy improvement ------------------------------------------
-    // Label-correcting improvement: when v adopts a better successor,
-    // its (ratio, value) label is rewritten in place so improvements
-    // chain within this phase instead of crawling one node per outer
-    // evaluation along long HSDF cycles. One full pass in descending id
-    // order (expansion edges mostly point from lower to higher copy
-    // ids, so a descending scan propagates a whole chain at once)
-    // collects every node whose label rose; a FIFO worklist then
-    // rescans just the predecessors of risen nodes — cost proportional
-    // to actual changes, not extra full edge scans. Per-node labels
-    // only ever increase lexicographically in (ratio, value), so the
-    // phase terminates (the pop budget is a defensive cap; anything
-    // left over is caught by the next outer iteration). Intermediate
-    // labels only steer the pivot path: the outer loop exits solely
-    // when a pass over the *exact* evaluation finds no improvement —
-    // the classical Howard termination condition — so the unique
-    // fixpoint is unchanged.
-    const auto relax = [&](std::uint32_t v) -> bool {
-      bool changed = false;
-      const std::uint32_t off = hs.outOff[v];
-      const std::uint32_t end = hs.outOff[v + 1];
-      for (std::uint32_t i = off; i < end; ++i) {
-        const std::uint32_t ei = hs.outIdx[i];
-        const Edge& e = edges[ei];
-        if (!hasRatio[e.to]) {
-          continue;
-        }
-        bool adopt = false;
-        if (ratioNum[e.to] == ratioNum[v] && ratioDen[e.to] == ratioDen[v]) {
-          // Fast path: within one evaluation every node reaching the
-          // same cycle carries the *identical* (num, den) pair, and
-          // label-correcting adoption copies the representation — so
-          // the common case compares values over one shared
-          // denominator, with no 128-bit cross-multiplies.
-          const Wide candidate = Wide(e.weight) * ratioDen[e.to] -
-                                 Wide(ratioNum[e.to]) * e.delay + valueNum[e.to];
-          adopt = candidate > valueNum[v];
-        } else if (ratioGreater(e.to, v)) {
-          adopt = true;
-        } else if (ratioEqual(e.to, v)) {
-          // candidate = w(e) - r*d(e) + value(e.to), over denominator
-          // ratioDen[e.to]; compare against value(v) by
-          // cross-multiplying the two denominators.
-          const Wide candidate = Wide(e.weight) * ratioDen[e.to] -
-                                 Wide(ratioNum[e.to]) * e.delay + valueNum[e.to];
-          adopt = candidate * ratioDen[v] > valueNum[v] * ratioDen[e.to];
-        }
-        if (adopt) {
-          policy[v] = ei;
-          valueNum[v] = Wide(e.weight) * ratioDen[e.to] - Wide(ratioNum[e.to]) * e.delay +
-                        valueNum[e.to];
-          ratioNum[v] = ratioNum[e.to];
-          ratioDen[v] = ratioDen[e.to];
-          changed = true;
-        }
-      }
-      return changed;
-    };
-    bool improved = false;
-    bool changed = true;
-    for (int pass = 0; changed && pass < 2; ++pass) {
-      changed = false;
-      const bool descending = (pass % 2) == 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t v = descending ? m - 1 - k : k;
-        if (policy[v] != kNoEdge && relax(static_cast<std::uint32_t>(v))) {
-          changed = true;
-        }
-      }
-      improved = improved || changed;
-    }
-    if (!improved) {
-      std::size_t best = m;
-      for (std::size_t v = 0; v < m; ++v) {
-        if (hasRatio[v] && (best == m || ratioGreater(v, best))) {
-          best = v;
-        }
-      }
-      if (best == m) {
-        out.kind = ComponentOutcome::Kind::NoCycle;
-        return out;
-      }
-      out.kind = ComponentOutcome::Kind::Ratio;
-      out.num = ratioNum[best];
-      out.den = ratioDen[best];
-      // Remember the converged policy for warm-starting later solves.
-      out.successor.assign(m, kNoNode);
-      for (std::size_t v = 0; v < m; ++v) {
-        if (policy[v] != kNoEdge) {
-          out.successor[v] = edges[policy[v]].to;
-        }
-      }
-      return out;
-    }
-  }
-  throw AnalysisError("CycleRatioSolver: policy iteration failed to converge");
-}
-
 }  // namespace
 
 /// Reusable per-solve arenas. Every vector keeps its capacity across
@@ -367,32 +68,23 @@ struct CycleRatioSolver::Scratch {
   std::vector<std::uint32_t> inDeg, outDeg;
   std::vector<std::uint32_t> inOff, outOff;  // n+1 CSR offsets
   std::vector<std::uint32_t> inAdj, outAdj;  // edge endpoints
-  std::vector<std::uint32_t> cursor;         // CSR fill / grouping cursor
+  std::vector<std::uint32_t> cursor;         // CSR fill cursor
   std::vector<std::uint32_t> queue;          // peel worklist
   std::vector<char> alive;                   // node -> lies on some cycle
   // --- edge working sets ---------------------------------------------
-  std::vector<Edge> work;  // cyclic-core edges, contracted in place
+  std::vector<Edge> work;  // cyclic-core edges
   std::vector<Edge> zero;  // zero-delay subset (deadlock check)
-  // --- chain contraction ---------------------------------------------
-  std::vector<std::uint32_t> soleIn, soleOut;  // degree-1 adjacency slots
-  std::vector<char> dead;                      // edge tombstones
-  // --- SCC decomposition (iterative Tarjan) --------------------------
+  // --- Howard's policy iteration over `work` -------------------------
   std::vector<std::uint32_t> edgeOff, edgeIdx;  // out-CSR of work-edge ids
-  std::vector<std::uint32_t> sccIndex, sccLow, sccStack, comp;
-  std::vector<char> onStack;
-  std::vector<std::uint32_t> dfsNode, dfsEdge;  // explicit DFS stack
-  // --- per-component grouping ----------------------------------------
-  std::vector<std::uint32_t> localIndex;              // node -> id within comp
-  std::vector<std::uint32_t> compNodeOff, compNodes;  // comp -> nodes (id order)
-  std::vector<std::uint32_t> compEdgeOff, compEdges;  // comp -> work-edge ids
-  // --- Howard arenas for the sequential path (parallel workers own
-  // one HowardScratch each on their stack) ----------------------------
-  HowardScratch howard;
+  std::vector<std::uint32_t> policy;            // node -> chosen edge id
+  std::vector<std::int64_t> ratioNum, ratioDen;
+  std::vector<Wide> valueNum;
+  std::vector<char> hasRatio;
+  std::vector<std::int32_t> mark;
+  std::vector<std::uint32_t> path, cycle;
 
   std::size_t cyclicCore(std::size_t n, const std::vector<Edge>& edges);
-  void contractChains(std::size_t n);
-  std::uint32_t computeSccs(std::size_t n);
-  void groupComponents(std::size_t n, std::uint32_t comps);
+  CycleRatioResult howard(std::size_t n, std::vector<std::uint32_t>& preferredSuccessor);
 };
 
 /// Nodes on at least one cycle: Kahn-style peeling of nodes with zero
@@ -455,184 +147,226 @@ std::size_t CycleRatioSolver::Scratch::cyclicCore(std::size_t n,
   return n - removed;
 }
 
-/// Ratio-preserving chain contraction: a node with exactly one incoming
-/// and one outgoing edge lies on a cycle only via both, so the pair
-/// (u -> v, v -> x) can be replaced by u -> x with summed weight and
-/// delay without changing any cycle's ratio. HSDF expansions are mostly
-/// such chains (firing-copy sequences, word-level comm stages), so this
-/// typically shrinks the Howard problem by one to two orders of
-/// magnitude. Contracting never changes the degree of u or x, so a
-/// single pass over the initial candidates reaches the fixpoint.
-/// `work` is compacted in place.
-void CycleRatioSolver::Scratch::contractChains(std::size_t n) {
-  inDeg.assign(n, 0);
-  outDeg.assign(n, 0);
-  for (const Edge& e : work) {
-    ++outDeg[e.from];
-    ++inDeg[e.to];
-  }
-  // Per-node single-slot adjacency; only meaningful for degree-1 nodes.
-  soleIn.assign(n, kNoNode);
-  soleOut.assign(n, kNoNode);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (inDeg[work[i].to] == 1) {
-      soleIn[work[i].to] = static_cast<std::uint32_t>(i);
-    }
-    if (outDeg[work[i].from] == 1) {
-      soleOut[work[i].from] = static_cast<std::uint32_t>(i);
-    }
-  }
-  dead.assign(work.size(), 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (inDeg[v] != 1 || outDeg[v] != 1) {
-      continue;
-    }
-    const std::uint32_t e1 = soleIn[v];
-    const std::uint32_t e2 = soleOut[v];
-    if (e1 == e2) {
-      continue;  // self-loop: an irreducible single-node cycle
-    }
-    // Merge v into its predecessor: e1 becomes u -> x, e2 dies.
-    work[e1].to = work[e2].to;
-    work[e1].weight += work[e2].weight;
-    work[e1].delay += work[e2].delay;
-    dead[e2] = 1;
-    if (soleIn[work[e1].to] == e2) {
-      soleIn[work[e1].to] = e1;
-    }
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (dead[i] == 0) {
-      work[kept++] = work[i];
-    }
-  }
-  work.resize(kept);
-}
-
-/// Strongly connected components of the contracted core via iterative
-/// Tarjan. Component ids are assigned in completion order of a DFS
-/// started from nodes in ascending id order, so they are a pure
-/// function of the edge list — never of thread scheduling. Fills
-/// `comp` (kNoNode for nodes outside the core); returns the count.
-std::uint32_t CycleRatioSolver::Scratch::computeSccs(std::size_t n) {
-  // Out-CSR of work-edge indices.
-  outDeg.assign(n, 0);
-  for (const Edge& e : work) {
-    ++outDeg[e.from];
-  }
+/// Howard's policy iteration over the non-empty cyclic core in `work`,
+/// maximizing the cycle ratio sum(w)/sum(d). Every node with an
+/// out-edge lies on the core, so every policy walk ends in a cycle.
+/// The core may hold several strongly connected components joined by
+/// one-way edges: the multichain evaluation gives each node the ratio
+/// of the cycle its policy reaches, and at the fixpoint every node
+/// carries the maximum ratio it can reach, so the maximum over nodes is
+/// the global maximum cycle ratio (Cochet-Terrasson et al., 1998).
+/// `preferredSuccessor` seeds the initial policy when its size is `n`
+/// and receives the converged policy.
+CycleRatioResult CycleRatioSolver::Scratch::howard(
+    std::size_t n, std::vector<std::uint32_t>& preferredSuccessor) {
+  CycleRatioResult result;
+  const std::vector<Edge>& edges = work;
+  // CSR adjacency; edge ids stay ascending per node, so the seed and
+  // the improvement scan order are a pure function of the edge list.
   edgeOff.assign(n + 1, 0);
+  for (const Edge& e : edges) {
+    ++edgeOff[e.from + 1];
+  }
   for (std::size_t v = 0; v < n; ++v) {
-    edgeOff[v + 1] = edgeOff[v] + outDeg[v];
+    edgeOff[v + 1] += edgeOff[v];
   }
-  edgeIdx.resize(work.size());
+  edgeIdx.resize(edges.size());
   cursor.assign(n, 0);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const std::uint32_t f = work[i].from;
-    edgeIdx[edgeOff[f] + cursor[f]++] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::uint32_t v = edges[i].from;
+    edgeIdx[edgeOff[v] + cursor[v]++] = static_cast<std::uint32_t>(i);
   }
 
-  sccIndex.assign(n, kNoNode);
-  sccLow.assign(n, 0);
-  onStack.assign(n, 0);
-  comp.assign(n, kNoNode);
-  sccStack.clear();
-  dfsNode.clear();
-  dfsEdge.clear();
-  std::uint32_t counter = 0;
-  std::uint32_t comps = 0;
-
-  for (std::size_t startIdx = 0; startIdx < n; ++startIdx) {
-    const auto start = static_cast<std::uint32_t>(startIdx);
-    if (sccIndex[start] != kNoNode || edgeOff[start] == edgeOff[start + 1]) {
+  constexpr std::uint32_t kNoEdge = 0xffffffffu;
+  const bool haveHints = preferredSuccessor.size() == n;
+  policy.assign(n, kNoEdge);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (edgeOff[v] == edgeOff[v + 1]) {
       continue;
     }
-    sccIndex[start] = sccLow[start] = counter++;
-    sccStack.push_back(start);
-    onStack[start] = 1;
-    dfsNode.push_back(start);
-    dfsEdge.push_back(edgeOff[start]);
-    while (!dfsNode.empty()) {
-      const std::uint32_t v = dfsNode.back();
-      if (dfsEdge.back() < edgeOff[v + 1]) {
-        const std::uint32_t w = work[edgeIdx[dfsEdge.back()++]].to;
-        if (sccIndex[w] == kNoNode) {
-          sccIndex[w] = sccLow[w] = counter++;
-          sccStack.push_back(w);
-          onStack[w] = 1;
-          dfsNode.push_back(w);
-          dfsEdge.push_back(edgeOff[w]);
-        } else if (onStack[w] != 0) {
-          sccLow[v] = std::min(sccLow[v], sccIndex[w]);
-        }
-      } else {
-        dfsNode.pop_back();
-        dfsEdge.pop_back();
-        if (sccLow[v] == sccIndex[v]) {
-          while (true) {
-            const std::uint32_t w = sccStack.back();
-            sccStack.pop_back();
-            onStack[w] = 0;
-            comp[w] = comps;
-            if (w == v) {
-              break;
-            }
-          }
-          ++comps;
-        }
-        if (!dfsNode.empty()) {
-          const std::uint32_t parent = dfsNode.back();
-          sccLow[parent] = std::min(sccLow[parent], sccLow[v]);
+    // Cold seed: the minimum-delay out-edge (first wins on ties). All
+    // out-edges of an HSDF node carry the same weight — the source's
+    // execution time — so the maximum-ratio cycle is biased toward
+    // token-free edges; seeding with them cuts cold convergence from
+    // dozens of sweeps to a handful. Any seed yields the same maximum
+    // ratio, so this is purely an iteration-count heuristic, and so is
+    // the warm-start hint that overrides it.
+    std::uint32_t pick = edgeIdx[edgeOff[v]];
+    for (std::uint32_t i = edgeOff[v] + 1; i < edgeOff[v + 1]; ++i) {
+      if (edges[edgeIdx[i]].delay < edges[pick].delay) {
+        pick = edgeIdx[i];
+      }
+    }
+    policy[v] = pick;
+    if (haveHints) {
+      for (std::uint32_t i = edgeOff[v]; i < edgeOff[v + 1]; ++i) {
+        if (edges[edgeIdx[i]].to == preferredSuccessor[v]) {
+          policy[v] = edgeIdx[i];
+          break;
         }
       }
     }
   }
-  return comps;
-}
 
-/// Bucket core nodes and intra-component edges by component, in id
-/// order. Cross-component edges are dropped: they lie on no cycle, so
-/// they cannot carry the maximum ratio. Fills localIndex/compNodes/
-/// compEdges and their offset tables.
-void CycleRatioSolver::Scratch::groupComponents(std::size_t n, std::uint32_t comps) {
-  compNodeOff.assign(comps + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (comp[v] != kNoNode) {
-      ++compNodeOff[comp[v] + 1];
+  // Per-node evaluation state. Ratios are kept as *unnormalized*
+  // integer fractions (the raw weight/delay sums of the reached cycle)
+  // and values as 128-bit numerators over the cycle's delay sum; every
+  // comparison cross-multiplies instead of normalizing, which removes
+  // all gcd work from the hot loop. The final answer is materialized as
+  // a normalized Rational, so results are bit-identical to the
+  // rational-arithmetic formulation. Magnitudes stay far inside 128
+  // bits: |valueNum| <= pathLength * (maxWeight + cycleWeight) *
+  // cycleDelay, and comparisons multiply by one more delay sum.
+  ratioNum.assign(n, 0);   // cycle weight sum
+  ratioDen.assign(n, 1);   // cycle delay sum (> 0)
+  valueNum.assign(n, 0);   // potential * ratioDen[v]
+  hasRatio.assign(n, 0);
+  mark.assign(n, -1);      // visit epoch of the evaluation walks
+  // ratio[a] > ratio[b] as fractions (denominators are positive).
+  const auto ratioGreater = [&](std::size_t a, std::size_t b) {
+    return Wide(ratioNum[a]) * ratioDen[b] > Wide(ratioNum[b]) * ratioDen[a];
+  };
+  const auto ratioEqual = [&](std::size_t a, std::size_t b) {
+    return Wide(ratioNum[a]) * ratioDen[b] == Wide(ratioNum[b]) * ratioDen[a];
+  };
+
+  const std::size_t maxIterations = edges.size() * n + 16;
+  for (std::size_t iteration = 0; iteration < maxIterations; ++iteration) {
+    // --- Policy evaluation -------------------------------------------
+    std::fill(hasRatio.begin(), hasRatio.end(), false);
+    std::fill(mark.begin(), mark.end(), -1);
+    // Find the cycle each node reaches in the functional policy graph.
+    for (std::size_t start = 0; start < n; ++start) {
+      if (policy[start] == kNoEdge || hasRatio[start]) {
+        continue;
+      }
+      // Walk until we hit something marked in this walk (new cycle) or
+      // an already-evaluated node.
+      path.clear();
+      auto v = static_cast<std::uint32_t>(start);
+      while (mark[v] == -1 && !hasRatio[v]) {
+        mark[v] = static_cast<std::int32_t>(start);
+        path.push_back(v);
+        v = edges[policy[v]].to;
+      }
+      if (!hasRatio[v]) {
+        // New cycle found; compute its ratio.
+        std::int64_t w = 0;
+        std::int64_t d = 0;
+        std::uint32_t u = v;
+        do {
+          const Edge& e = edges[policy[u]];
+          w += e.weight;
+          d += e.delay;
+          u = e.to;
+        } while (u != v);
+        if (d == 0) {
+          // Defensive: solve() screens zero-delay cycles out first.
+          result.status = CycleRatioResult::Status::Deadlock;
+          return result;
+        }
+        // Anchor the cycle: value(v) = 0, propagate around the cycle by
+        // walking forward and solving value(u) = w(u) - r*d(u) +
+        // value(next), all over the common denominator d.
+        valueNum[v] = 0;
+        ratioNum[v] = w;
+        ratioDen[v] = d;
+        hasRatio[v] = true;
+        cycle.clear();
+        u = v;
+        do {
+          cycle.push_back(u);
+          u = edges[policy[u]].to;
+        } while (u != v);
+        for (std::size_t i = cycle.size(); i-- > 1;) {
+          const std::uint32_t node = cycle[i];
+          const Edge& e = edges[policy[node]];
+          valueNum[node] = Wide(e.weight) * d - Wide(w) * e.delay + valueNum[e.to];
+          ratioNum[node] = w;
+          ratioDen[node] = d;
+          hasRatio[node] = true;
+        }
+      }
+      // Propagate values back along the path (suffix first).
+      for (std::size_t i = path.size(); i-- > 0;) {
+        const std::uint32_t node = path[i];
+        if (hasRatio[node]) {
+          continue;  // part of the freshly evaluated cycle
+        }
+        const Edge& e = edges[policy[node]];
+        valueNum[node] = Wide(e.weight) * ratioDen[e.to] - Wide(ratioNum[e.to]) * e.delay +
+                         valueNum[e.to];
+        ratioNum[node] = ratioNum[e.to];
+        ratioDen[node] = ratioDen[e.to];
+        hasRatio[node] = true;
+      }
+    }
+
+    // --- Policy improvement ------------------------------------------
+    // One label-correcting pass in descending node order: when v adopts
+    // a better successor, its (ratio, value) label is rewritten in
+    // place, so a predecessor scanned later in the same pass already
+    // sees the improvement. Expansion edges mostly point from lower to
+    // higher firing-copy ids, so the descending order carries an
+    // improvement down a whole chain in one pass instead of one node per
+    // evaluation. Labels only ever rise lexicographically in (ratio,
+    // value), and intermediate labels only steer the next policy: the
+    // loop exits only after a pass that adopted nothing, and such a pass
+    // compared against the exact labels of the evaluation — the
+    // classical Howard termination condition — so the fixpoint ratio is
+    // unchanged.
+    bool improved = false;
+    for (std::size_t v = n; v-- > 0;) {
+      for (std::uint32_t i = edgeOff[v]; i < edgeOff[v + 1]; ++i) {
+        const std::uint32_t ei = edgeIdx[i];
+        const Edge& e = edges[ei];
+        const Wide candidate =
+            Wide(e.weight) * ratioDen[e.to] - Wide(ratioNum[e.to]) * e.delay + valueNum[e.to];
+        bool adopt = false;
+        if (ratioNum[e.to] == ratioNum[v] && ratioDen[e.to] == ratioDen[v]) {
+          // Fast path: within one evaluation every node reaching the
+          // same cycle carries the *identical* (num, den) pair, and
+          // label-correcting adoption copies the representation — so
+          // the common case compares values over one shared
+          // denominator, with no 128-bit cross-multiplies.
+          adopt = candidate > valueNum[v];
+        } else if (ratioGreater(e.to, v)) {
+          adopt = true;
+        } else if (ratioEqual(e.to, v)) {
+          // Equal ratios in different representations: compare the
+          // values over the product of the two denominators.
+          adopt = candidate * ratioDen[v] > valueNum[v] * ratioDen[e.to];
+        }
+        if (adopt) {
+          policy[v] = ei;
+          valueNum[v] = candidate;
+          ratioNum[v] = ratioNum[e.to];
+          ratioDen[v] = ratioDen[e.to];
+          improved = true;
+        }
+      }
+    }
+    if (!improved) {
+      std::size_t best = n;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (hasRatio[v] && (best == n || ratioGreater(v, best))) {
+          best = v;
+        }
+      }
+      result.status = CycleRatioResult::Status::Ok;
+      result.ratio = Rational(ratioNum[best], ratioDen[best]);
+      // Remember the converged policy for warm-starting later solves
+      // (node ids, so it survives a changed edge layout).
+      preferredSuccessor.assign(n, kNoNode);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (policy[v] != kNoEdge) {
+          preferredSuccessor[v] = edges[policy[v]].to;
+        }
+      }
+      return result;
     }
   }
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    compNodeOff[c + 1] += compNodeOff[c];
-  }
-  compNodes.resize(compNodeOff[comps]);
-  localIndex.assign(n, kNoNode);
-  cursor.assign(comps, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (comp[v] == kNoNode) {
-      continue;
-    }
-    const std::uint32_t c = comp[v];
-    localIndex[v] = cursor[c];
-    compNodes[compNodeOff[c] + cursor[c]++] = static_cast<std::uint32_t>(v);
-  }
-  compEdgeOff.assign(comps + 1, 0);
-  for (const Edge& e : work) {
-    if (comp[e.from] != kNoNode && comp[e.from] == comp[e.to]) {
-      ++compEdgeOff[comp[e.from] + 1];
-    }
-  }
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    compEdgeOff[c + 1] += compEdgeOff[c];
-  }
-  compEdges.resize(compEdgeOff[comps]);
-  cursor.assign(comps, 0);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const Edge& e = work[i];
-    if (comp[e.from] != kNoNode && comp[e.from] == comp[e.to]) {
-      const std::uint32_t c = comp[e.from];
-      compEdges[compEdgeOff[c] + cursor[c]++] = static_cast<std::uint32_t>(i);
-    }
-  }
+  throw AnalysisError("CycleRatioSolver: policy iteration failed to converge");
 }
 
 CycleRatioSolver::CycleRatioSolver() = default;
@@ -641,18 +375,15 @@ CycleRatioSolver::CycleRatioSolver(CycleRatioSolver&&) noexcept = default;
 CycleRatioSolver& CycleRatioSolver::operator=(CycleRatioSolver&&) noexcept = default;
 
 CycleRatioSolver::CycleRatioSolver(const CycleRatioSolver& other)
-    : preferredSuccessor_(other.preferredSuccessor_), threads_(other.threads_) {}
+    : preferredSuccessor_(other.preferredSuccessor_) {}
 
 CycleRatioSolver& CycleRatioSolver::operator=(const CycleRatioSolver& other) {
   preferredSuccessor_ = other.preferredSuccessor_;
-  threads_ = other.threads_;
   return *this;
 }
 
 CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
-                                         const std::vector<CycleRatioEdge>& allEdges) {
-  const std::size_t n = nodeCount;
-  constexpr std::uint32_t kNoSuccessor = kNoNode;
+                                         const std::vector<CycleRatioEdge>& edges) {
   if (!scratch_) {
     scratch_ = std::make_unique<Scratch>();
   }
@@ -661,9 +392,9 @@ CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
 
   // Restrict to the cyclic core; acyclic parts never constrain the
   // steady-state period.
-  s.cyclicCore(n, allEdges);
+  s.cyclicCore(nodeCount, edges);
   s.work.clear();
-  for (const Edge& e : allEdges) {
+  for (const Edge& e : edges) {
     if (s.alive[e.from] != 0 && s.alive[e.to] != 0) {
       s.work.push_back(e);
     }
@@ -681,128 +412,11 @@ CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
       s.zero.push_back(e);
     }
   }
-  if (!s.zero.empty() && s.cyclicCore(n, s.zero) > 0) {
+  if (!s.zero.empty() && s.cyclicCore(nodeCount, s.zero) > 0) {
     result.status = CycleRatioResult::Status::Deadlock;
     return result;
   }
-
-  // Shrink the problem: HSDF expansions are dominated by unbranched
-  // chains, which Howard would walk over and over. Contraction keeps
-  // every cycle's weight and delay sums, so the maximum ratio is
-  // unchanged (cross-checked against the brute-force oracle in the
-  // property suite).
-  s.contractChains(n);
-
-  // Decompose into strongly connected components. Every cycle lives
-  // inside one component, so the global maximum ratio is the maximum of
-  // the per-component maxima — independent problems that can be solved
-  // concurrently without any result depending on scheduling.
-  const std::uint32_t comps = s.computeSccs(n);
-  if (comps == 0) {
-    result.status = CycleRatioResult::Status::Acyclic;
-    return result;
-  }
-  s.groupComponents(n, comps);
-
-  const bool haveHints = preferredSuccessor_.size() == n;
-  std::vector<ComponentOutcome> outcomes(comps);
-  std::vector<std::exception_ptr> errors(comps);
-  const auto solveComponent = [&](std::uint32_t c, HowardScratch& hs) {
-    try {
-      const std::uint32_t nodeBegin = s.compNodeOff[c];
-      const std::uint32_t nodeEnd = s.compNodeOff[c + 1];
-      const std::size_t m = nodeEnd - nodeBegin;
-      hs.local.clear();
-      hs.local.reserve(s.compEdgeOff[c + 1] - s.compEdgeOff[c]);
-      for (std::uint32_t i = s.compEdgeOff[c]; i < s.compEdgeOff[c + 1]; ++i) {
-        Edge e = s.work[s.compEdges[i]];
-        e.from = s.localIndex[e.from];
-        e.to = s.localIndex[e.to];
-        hs.local.push_back(e);
-      }
-      hs.hint.assign(m, kNoNode);
-      if (haveHints) {
-        for (std::uint32_t i = nodeBegin; i < nodeEnd; ++i) {
-          const std::uint32_t global = s.compNodes[i];
-          const std::uint32_t preferred = preferredSuccessor_[global];
-          if (preferred < n && s.comp[preferred] == c) {
-            hs.hint[i - nodeBegin] = s.localIndex[preferred];
-          }
-        }
-      }
-      outcomes[c] = howardComponent(m, hs);
-    } catch (...) {
-      errors[c] = std::current_exception();
-    }
-  };
-
-  const auto workers = static_cast<unsigned>(
-      std::min<std::uint32_t>(threads_, comps));
-  if (workers > 1) {
-    // Workers pull component ids from a shared counter; each writes only
-    // its own outcomes/errors slot, and the reduction below runs after
-    // all joins, in component-id order — bit-identical for any schedule.
-    std::atomic<std::uint32_t> next{0};
-    std::vector<std::jthread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        HowardScratch hs;
-        for (std::uint32_t c = next.fetch_add(1); c < comps; c = next.fetch_add(1)) {
-          solveComponent(c, hs);
-        }
-      });
-    }
-  } else {
-    for (std::uint32_t c = 0; c < comps; ++c) {
-      solveComponent(c, s.howard);
-    }
-  }
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    if (errors[c]) {
-      std::rethrow_exception(errors[c]);
-    }
-  }
-
-  // Deterministic reduction: strict maximum in component-id order.
-  std::uint32_t best = comps;
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    const ComponentOutcome& o = outcomes[c];
-    if (o.kind == ComponentOutcome::Kind::Deadlock) {
-      result.status = CycleRatioResult::Status::Deadlock;
-      return result;
-    }
-    if (o.kind != ComponentOutcome::Kind::Ratio) {
-      continue;
-    }
-    if (best == comps || Wide(o.num) * outcomes[best].den > Wide(outcomes[best].num) * o.den) {
-      best = c;
-    }
-  }
-  if (best == comps) {
-    result.status = CycleRatioResult::Status::Acyclic;
-    return result;
-  }
-  result.status = CycleRatioResult::Status::Ok;
-  result.ratio = Rational(outcomes[best].num, outcomes[best].den);
-
-  // Remember the optimal policies for the next solve on a perturbed
-  // version of this graph (global node ids, so they survive a changed
-  // edge layout).
-  preferredSuccessor_.assign(n, kNoSuccessor);
-  for (std::uint32_t c = 0; c < comps; ++c) {
-    const ComponentOutcome& o = outcomes[c];
-    if (o.kind != ComponentOutcome::Kind::Ratio) {
-      continue;
-    }
-    for (std::uint32_t i = s.compNodeOff[c]; i < s.compNodeOff[c + 1]; ++i) {
-      const std::uint32_t succ = o.successor[i - s.compNodeOff[c]];
-      if (succ != kNoNode) {
-        preferredSuccessor_[s.compNodes[i]] = s.compNodes[s.compNodeOff[c] + succ];
-      }
-    }
-  }
-  return result;
+  return s.howard(nodeCount, preferredSuccessor_);
 }
 
 CycleRatioResult maxCycleRatioHoward(const sdf::TimedGraph& hsdf) {
@@ -883,135 +497,26 @@ CycleRatioResult maxCycleRatioBruteForce(const sdf::TimedGraph& hsdf) {
   return result;
 }
 
-sdf::HsdfExpansion toHsdfWithStaticOrder(const sdf::TimedGraph& timed,
-                                         const ResourceConstraints& resources) {
-  resources.validateFor(timed.graph);
-  const auto qOpt = sdf::computeRepetitionVector(timed.graph);
-  if (!qOpt) {
-    throw AnalysisError("toHsdfWithStaticOrder: graph '" + timed.graph.name() +
-                        "' is inconsistent");
-  }
-  const auto& q = *qOpt;
-
-  sdf::HsdfExpansion expansion = sdf::toHsdf(timed);
-
-  // Forward map: original actor + firing index -> HSDF copy.
-  std::vector<std::vector<sdf::ActorId>> copies(timed.graph.actorCount());
-  for (sdf::ActorId h = 0; h < expansion.hsdf.graph.actorCount(); ++h) {
-    auto& list = copies[expansion.originalActor[h]];
-    if (list.size() <= expansion.firingIndex[h]) {
-      list.resize(expansion.firingIndex[h] + 1, sdf::kInvalidActor);
-    }
-    list[expansion.firingIndex[h]] = h;
-  }
-
-  for (std::size_t r = 0; r < resources.staticOrder.size(); ++r) {
-    const auto& order = resources.staticOrder[r];
-    // The j-th appearance of actor a is its j-th firing of the
-    // iteration; collect the chain of HSDF copies in schedule order.
-    std::vector<std::uint64_t> appearance(timed.graph.actorCount(), 0);
-    std::vector<sdf::ActorId> chain;
-    chain.reserve(order.size());
-    for (const sdf::ActorId a : order) {
-      if (resources.actorResource[a] != r) {
-        throw AnalysisError("toHsdfWithStaticOrder: actor " + timed.graph.actor(a).name +
-                            " is scheduled on a resource it is not bound to");
-      }
-      const std::uint64_t j = appearance[a]++;
-      if (j >= q[a]) {
-        throw AnalysisError("toHsdfWithStaticOrder: actor " + timed.graph.actor(a).name +
-                            " appears more often than its repetition count");
-      }
-      chain.push_back(copies[a][j]);
-    }
-    for (sdf::ActorId a = 0; a < timed.graph.actorCount(); ++a) {
-      if (resources.actorResource[a] == r && appearance[a] != q[a]) {
-        throw AnalysisError("toHsdfWithStaticOrder: actor " + timed.graph.actor(a).name +
-                            " appears " + std::to_string(appearance[a]) +
-                            " times in its static order, expected q = " + std::to_string(q[a]));
-      }
-    }
-    if (chain.empty()) {
-      continue;
-    }
-    // Completion of appearance i enables the start of appearance i+1;
-    // the wrap-around token starts the schedule at position 0 and
-    // pipelines consecutive iterations of the resource by one.
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      const std::size_t next = (i + 1) % chain.size();
-      sdf::ChannelSpec spec;
-      spec.src = chain[i];
-      spec.dst = chain[next];
-      spec.prodRate = 1;
-      spec.consRate = 1;
-      spec.initialTokens = (next == 0) ? 1 : 0;
-      spec.name = "so_r" + std::to_string(r) + "_" + std::to_string(i);
-      expansion.hsdf.graph.connect(spec);
-    }
-  }
-  return expansion;
-}
-
 ThroughputResult computeThroughputMcr(const sdf::TimedGraph& timed,
-                                      const ResourceConstraints* resources,
-                                      const ThroughputOptions& options) {
+                                      const ResourceConstraints* resources) {
   if (timed.execTime.size() != timed.graph.actorCount()) {
     throw AnalysisError("computeThroughputMcr: execTime size does not match actor count");
   }
-  ThroughputResult result;
-  result.engine = ThroughputEngine::Mcr;
   if (!sdf::isConsistent(timed.graph)) {
+    ThroughputResult result;
+    result.engine = ThroughputEngine::Mcr;
     result.status = ThroughputResult::Status::Inconsistent;
     return result;
   }
-  if (timed.graph.actorCount() == 0) {
-    result.status = ThroughputResult::Status::Deadlock;
-    return result;
-  }
-
-  // Flat expansion: the same encoding sdf::toHsdf plus
-  // toHsdfWithStaticOrder would produce, but as contiguous index tables
-  // — no graph object, no name strings, no per-element allocation.
   FlatExpansion flat;
-  const std::vector<CycleRatioEdge>* edges = nullptr;
+  std::uint64_t buildNanos = 0;
   {
-    support::ScopedTimer timer(result.expansionNanos);
+    support::ScopedTimer timer(buildNanos);
     flat.build(timed, resources);
-    edges = &flat.collapse();
   }
-  result.hsdfActors = flat.hsdfActors();
-
   CycleRatioSolver solver;
-  solver.setThreads(options.solverThreads);
-  CycleRatioResult mcr;
-  {
-    support::ScopedTimer timer(result.solveNanos);
-    mcr = solver.solve(static_cast<std::size_t>(flat.hsdfActors()), *edges);
-  }
-  switch (mcr.status) {
-    case CycleRatioResult::Status::Ok:
-      if (mcr.ratio.isZero()) {
-        // Every cycle has zero total execution time: the graph fires
-        // infinitely fast (matches the state-space verdict for a live
-        // zero-time cycle).
-        result.status = ThroughputResult::Status::Unbounded;
-      } else {
-        result.status = ThroughputResult::Status::Ok;
-        result.iterationsPerCycle = mcr.ratio.reciprocal();
-      }
-      return result;
-    case CycleRatioResult::Status::Deadlock:
-      result.status = ThroughputResult::Status::Deadlock;
-      result.iterationsPerCycle = Rational(0);
-      return result;
-    case CycleRatioResult::Status::Acyclic:
-      // No cycle constrains the period. With self-concurrency limits in
-      // {0, 1} this requires every actor to be unconstrained, which only
-      // happens for graphs of limit-0 actors: unbounded throughput.
-      result.status = ThroughputResult::Status::Unbounded;
-      return result;
-  }
-  result.status = ThroughputResult::Status::Unbounded;
+  ThroughputResult result = solveExpansion(flat, solver);
+  result.expansionNanos += buildNanos;
   return result;
 }
 

@@ -8,9 +8,9 @@
 // zero tokens can never fire: the graph is deadlocked.
 //
 // General SDF graphs are analyzed by expanding them to HSDF first
-// (sdf/hsdf.hpp); static-order schedules of shared resources are encoded
-// exactly as additional HSDF precedence edges, so resource-shared
-// binding-aware graphs stay on the fast path.
+// (analysis/flat_hsdf.hpp); static-order schedules of shared resources
+// are encoded exactly as additional HSDF precedence edges, so
+// resource-shared binding-aware graphs stay on the fast path.
 //
 // Two cycle-ratio implementations are provided: Howard's policy
 // iteration with exact rational arithmetic (fast, used by the flow) and
@@ -25,7 +25,6 @@
 
 #include "analysis/throughput.hpp"
 #include "sdf/graph.hpp"
-#include "sdf/hsdf.hpp"
 #include "support/rational.hpp"
 
 namespace mamps::analysis {
@@ -84,14 +83,16 @@ struct SolverWarmStart {
 /// solver is cold; the first solve() behaves exactly like
 /// maxCycleRatioHoward().
 ///
-/// Internally a solve runs Kahn-style cyclic-core peeling, a zero-delay
-/// deadlock check, ratio-preserving chain contraction, strongly
-/// connected component decomposition, and one Howard instance per
-/// component (components are independent, so the maximum over them is
-/// the global MCR and, with setThreads(), components solve in
-/// parallel without affecting any result). All per-solve scratch is
-/// retained across calls, so repeated solves allocate nothing on the
-/// steady state.
+/// Internally a solve peels the graph to its cyclic core (Kahn-style,
+/// O(V + E)), reports a deadlock when the zero-delay edges of the core
+/// close a cycle, and otherwise runs one Howard instance over the whole
+/// core: min-delay cold seed (or the warm-start hints), exact policy
+/// evaluation, and one descending label-correcting improvement pass per
+/// iteration. The core need not be strongly connected — the multichain
+/// evaluation ranks nodes by the ratio of the cycle they reach, so the
+/// maximum over nodes is the global maximum cycle ratio. All per-solve
+/// scratch is retained across calls, so repeated solves allocate
+/// nothing on the steady state.
 class CycleRatioSolver {
  public:
   CycleRatioSolver();
@@ -112,14 +113,6 @@ class CycleRatioSolver {
   [[nodiscard]] CycleRatioResult solve(std::size_t nodeCount,
                                       const std::vector<CycleRatioEdge>& edges);
 
-  /// Worker threads for the independent per-SCC Howard solves (large
-  /// expansions with several strongly connected components solve them
-  /// concurrently). Results are bit-identical for any thread count —
-  /// the per-component problems share nothing and the maximum over
-  /// components is reduced in deterministic component order.
-  /// @param threads thread cap; 0 and 1 both mean sequential
-  void setThreads(unsigned threads) { threads_ = threads == 0 ? 1 : threads; }
-
   /// Seed the next solve() from a previously exported policy.
   /// @param warm the handle to copy hints from
   void adoptWarmStart(const SolverWarmStart& warm) {
@@ -137,7 +130,6 @@ class CycleRatioSolver {
   struct Scratch;  // reusable per-solve arenas; defined in mcm.cpp
 
   std::vector<std::uint32_t> preferredSuccessor_;  ///< warm-start hints
-  unsigned threads_ = 1;                           ///< per-SCC solve threads
   std::unique_ptr<Scratch> scratch_;               ///< lazily created, reused
 };
 
@@ -158,39 +150,20 @@ class CycleRatioSolver {
 ///   or the execution-time vector does not match the actor count
 [[nodiscard]] CycleRatioResult maxCycleRatioBruteForce(const sdf::TimedGraph& hsdf);
 
-/// HSDF expansion of `timed` with the static-order schedules of
-/// `resources` encoded as precedence edges: per resource, a chain
-/// through the firing copies in schedule-appearance order plus a
-/// wrap-around edge carrying one token. The encoding is exact — the
-/// j-th appearance of actor a in its order is firing copy j of a —
-/// which requires every bound actor to appear exactly q[a] times.
-/// @param timed the SDF graph to expand
-/// @param resources binding and static orders; every entry of a
-///   resource's order must be bound to that resource
-/// @return the expansion with schedule edges added (named "so_r<R>_<i>")
-/// @throws AnalysisError when the graph is inconsistent, an order entry
-///   is not bound to its resource, or an appearance count differs from
-///   the actor's repetition count
-[[nodiscard]] sdf::HsdfExpansion toHsdfWithStaticOrder(const sdf::TimedGraph& timed,
-                                                       const ResourceConstraints& resources);
-
 /// Full throughput verdict via the MCR fast path: flat HSDF expansion
 /// (analysis/flat_hsdf.hpp; static orders encoded as precedence edges
 /// when `resources` is non-null) and Howard's policy iteration. Never
 /// returns Status::Diverged or StepLimit; for graphs that are not
 /// strongly bounded it reports the exact long-run iteration completion
-/// rate. Only `options.solverThreads` affects this entry point (engine
-/// selection already happened when it is called); the per-phase
-/// expansion/solve counters of the result are filled in.
+/// rate. The per-phase expansion/solve counters of the result are
+/// filled in.
 /// @param timed the SDF graph to analyze
 /// @param resources optional binding and static orders (may be null)
-/// @param options solver tuning (thread count for per-SCC solves)
 /// @return a ThroughputResult with `engine == ThroughputEngine::Mcr`
 /// @throws AnalysisError on shape violations (execTime size, schedule
 ///   appearance counts)
 [[nodiscard]] ThroughputResult computeThroughputMcr(
-    const sdf::TimedGraph& timed, const ResourceConstraints* resources = nullptr,
-    const ThroughputOptions& options = {});
+    const sdf::TimedGraph& timed, const ResourceConstraints* resources = nullptr);
 
 /// Throughput of an SDF graph via conversion to HSDF and MCR analysis.
 /// @param timed the SDF graph to analyze

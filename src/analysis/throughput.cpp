@@ -574,13 +574,13 @@ ThroughputResult dispatch(const sdf::TimedGraph& timed, const ResourceConstraint
         throw AnalysisError(std::string("computeThroughput: MCR engine not applicable: ") +
                             reason);
       }
-      return computeThroughputMcr(timed, resources, options);
+      return computeThroughputMcr(timed, resources);
     }
     // Auto: take the fast path when it is exact and the expansion stays
     // reasonably sized.
     if (representable &&
         hsdfSizeEstimate(timed, resources, *qOpt) <= options.maxMcrHsdfSize) {
-      return computeThroughputMcr(timed, resources, options);
+      return computeThroughputMcr(timed, resources);
     }
   }
 

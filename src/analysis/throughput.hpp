@@ -102,10 +102,6 @@ struct ThroughputOptions {
   /// phases longer than roughly half this bound can no longer be
   /// detected and end in Status::StepLimit.
   std::uint64_t maxStoredStates = 1u << 20;
-  /// MCR only: worker threads for the independent per-SCC Howard solves
-  /// of one cycle-ratio problem (CycleRatioSolver::setThreads). Results
-  /// are bit-identical for any value; 0 and 1 both mean sequential.
-  unsigned solverThreads = 1;
 };
 
 /// Would Auto engine selection route this analysis to the MCR fast

@@ -208,8 +208,16 @@ std::optional<MappingResult> mapOntoBudget(const AppAnalysisCache& cache,
     const std::uint32_t wheel = work.tileSlotCapacity(t);
     if (held != 0 && held < wheel) {
       // The effective wheel (degraded when the tile is) sets both the
-      // share and the switch overhead.
-      wcet[a] = (wcet[a] * wheel + held - 1) / held + work.tileWheelOverheadCycles(t);
+      // share and the switch overhead. Checked, because a WCET read
+      // from a file can make wcet * wheel wrap, and a wrapped (smaller)
+      // WCET would make the guarantee optimistic.
+      std::uint64_t scaled = 0;
+      if (__builtin_mul_overflow(wcet[a], std::uint64_t{wheel}, &scaled) ||
+          __builtin_add_overflow(scaled, std::uint64_t{held - 1}, &scaled) ||
+          __builtin_add_overflow(scaled / held, work.tileWheelOverheadCycles(t), &wcet[a])) {
+        throw ModelError("mapOntoBudget: TDM-inflated WCET of actor " + g.actor(a).name +
+                         " overflows 64 bits");
+      }
     }
   }
 

@@ -108,6 +108,9 @@ struct WorkloadResult {
 /// @param client the committing client id
 /// @return the mapping and its guarantee, or nullopt when the
 ///   application cannot be mapped onto the residual
+/// @throws ModelError when an actor is bound to a tile without an
+///   implementation, or its TDM-inflated WCET exceeds 64 bits (the
+///   budget is untouched in both cases)
 [[nodiscard]] std::optional<MappingResult> mapOntoBudget(const AppAnalysisCache& cache,
                                                          const platform::Architecture& arch,
                                                          const MappingOptions& options,

@@ -25,7 +25,7 @@ std::string joinIndices(const std::set<std::uint32_t>& indices) {
 std::set<std::uint32_t> splitIndices(std::string_view joined) {
   std::set<std::uint32_t> indices;
   for (const std::string& field : split(joined, ',')) {
-    indices.insert(static_cast<std::uint32_t>(parseU64(trim(field))));
+    indices.insert(parseU32(trim(field)));
   }
   return indices;
 }
@@ -114,36 +114,28 @@ ArchitectureWithFaults architectureWithFaultsFromString(const std::string& text)
     tile.name = std::string(te->requiredAttribute("name"));
     tile.kind = tileKindFromName(te->requiredAttribute("kind"));
     tile.processorType = std::string(te->attribute("processorType").value_or("microblaze"));
-    tile.memory.instrBytes =
-        static_cast<std::uint32_t>(parseU64(te->attribute("instrMem").value_or("65536")));
-    tile.memory.dataBytes =
-        static_cast<std::uint32_t>(parseU64(te->attribute("dataMem").value_or("65536")));
-    tile.tdm.slotsPerWheel =
-        static_cast<std::uint32_t>(parseU64(te->attribute("tdmSlots").value_or("1")));
-    tile.tdm.wheelOverheadCycles =
-        static_cast<std::uint32_t>(parseU64(te->attribute("tdmOverhead").value_or("0")));
+    tile.memory.instrBytes = parseU32(te->attribute("instrMem").value_or("65536"));
+    tile.memory.dataBytes = parseU32(te->attribute("dataMem").value_or("65536"));
+    tile.tdm.slotsPerWheel = parseU32(te->attribute("tdmSlots").value_or("1"));
+    tile.tdm.wheelOverheadCycles = parseU32(te->attribute("tdmOverhead").value_or("0"));
     const TileId id = arch.addTile(std::move(tile));
     if (te->attribute("failed").value_or("false") == "true") {
       faults.failedTiles.insert(id);
     }
     if (const auto slots = te->attribute("degradedTdmSlots")) {
       TdmConfig wheel;
-      wheel.slotsPerWheel = static_cast<std::uint32_t>(parseU64(*slots));
-      wheel.wheelOverheadCycles = static_cast<std::uint32_t>(
-          parseU64(te->attribute("degradedTdmOverhead").value_or("0")));
+      wheel.slotsPerWheel = parseU32(*slots);
+      wheel.wheelOverheadCycles = parseU32(te->attribute("degradedTdmOverhead").value_or("0"));
       faults.degradedTdm.emplace(id, wheel);
     }
   }
 
   if (const xml::Element* ne = root.firstChild("noc")) {
-    arch.noc().rows = static_cast<std::uint32_t>(parseU64(ne->requiredAttribute("rows")));
-    arch.noc().cols = static_cast<std::uint32_t>(parseU64(ne->requiredAttribute("cols")));
-    arch.noc().wiresPerLink =
-        static_cast<std::uint32_t>(parseU64(ne->attribute("wiresPerLink").value_or("32")));
-    arch.noc().hopLatencyCycles =
-        static_cast<std::uint32_t>(parseU64(ne->attribute("hopLatency").value_or("3")));
-    arch.noc().connectionBufferWords =
-        static_cast<std::uint32_t>(parseU64(ne->attribute("connectionBuffer").value_or("4")));
+    arch.noc().rows = parseU32(ne->requiredAttribute("rows"));
+    arch.noc().cols = parseU32(ne->requiredAttribute("cols"));
+    arch.noc().wiresPerLink = parseU32(ne->attribute("wiresPerLink").value_or("32"));
+    arch.noc().hopLatencyCycles = parseU32(ne->attribute("hopLatency").value_or("3"));
+    arch.noc().connectionBufferWords = parseU32(ne->attribute("connectionBuffer").value_or("4"));
     arch.noc().flowControl = ne->attribute("flowControl").value_or("true") == "true";
     if (const auto failed = ne->attribute("failedLinks")) {
       for (const std::uint32_t index : splitIndices(*failed)) {
@@ -152,12 +144,9 @@ ArchitectureWithFaults architectureWithFaultsFromString(const std::string& text)
     }
   }
   if (const xml::Element* fe = root.firstChild("fsl")) {
-    arch.fsl().fifoDepthWords =
-        static_cast<std::uint32_t>(parseU64(fe->attribute("fifoDepth").value_or("16")));
-    arch.fsl().latencyCycles =
-        static_cast<std::uint32_t>(parseU64(fe->attribute("latency").value_or("1")));
-    arch.fsl().maxLinks =
-        static_cast<std::uint32_t>(parseU64(fe->attribute("maxLinks").value_or("0")));
+    arch.fsl().fifoDepthWords = parseU32(fe->attribute("fifoDepth").value_or("16"));
+    arch.fsl().latencyCycles = parseU32(fe->attribute("latency").value_or("1"));
+    arch.fsl().maxLinks = parseU32(fe->attribute("maxLinks").value_or("0"));
     if (const auto failed = fe->attribute("failedLinks")) {
       faults.failedFslLinks = splitIndices(*failed);
     }

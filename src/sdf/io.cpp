@@ -60,10 +60,10 @@ Graph graphFromXml(const xml::Element& element) {
     spec.name = std::string(c->attribute("name").value_or(""));
     spec.src = g.actorByName(c->requiredAttribute("src"));
     spec.dst = g.actorByName(c->requiredAttribute("dst"));
-    spec.prodRate = static_cast<std::uint32_t>(parseU64(c->attribute("srcRate").value_or("1")));
-    spec.consRate = static_cast<std::uint32_t>(parseU64(c->attribute("dstRate").value_or("1")));
+    spec.prodRate = parseU32(c->attribute("srcRate").value_or("1"));
+    spec.consRate = parseU32(c->attribute("dstRate").value_or("1"));
     spec.initialTokens = parseU64(c->attribute("initialTokens").value_or("0"));
-    spec.tokenSizeBytes = static_cast<std::uint32_t>(parseU64(c->attribute("tokenSize").value_or("4")));
+    spec.tokenSizeBytes = parseU32(c->attribute("tokenSize").value_or("4"));
     g.connect(spec);
   }
   g.validate();
@@ -141,8 +141,8 @@ ApplicationModel applicationModelFromString(const std::string& text) {
     impl.initFunctionName = std::string(ie->attribute("initFunction").value_or(""));
     impl.processorType = std::string(ie->requiredAttribute("processorType"));
     impl.wcetCycles = parseU64(ie->requiredAttribute("wcet"));
-    impl.instrMemBytes = static_cast<std::uint32_t>(parseU64(ie->attribute("instrMem").value_or("0")));
-    impl.dataMemBytes = static_cast<std::uint32_t>(parseU64(ie->attribute("dataMem").value_or("0")));
+    impl.instrMemBytes = parseU32(ie->attribute("instrMem").value_or("0"));
+    impl.dataMemBytes = parseU32(ie->attribute("dataMem").value_or("0"));
     for (const xml::Element* arg : ie->childrenNamed("arg")) {
       const auto channel = g.findChannel(arg->requiredAttribute("channel"));
       if (!channel) {

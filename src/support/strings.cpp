@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 
 #include "support/error.hpp"
 
@@ -43,6 +44,14 @@ std::uint64_t parseU64(std::string_view s) {
     throw ParseError("not an unsigned integer: '" + std::string(s) + "'");
   }
   return value;
+}
+
+std::uint32_t parseU32(std::string_view s) {
+  const std::uint64_t value = parseU64(s);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw ParseError("unsigned integer exceeds 32 bits: '" + std::string(trim(s)) + "'");
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 std::int64_t parseI64(std::string_view s) {

@@ -1,6 +1,7 @@
 // Small string utilities shared across the flow.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,11 @@ namespace mamps {
 
 /// Parse a non-negative integer; throws mamps::ParseError on junk.
 [[nodiscard]] std::uint64_t parseU64(std::string_view s);
+
+/// Parse a non-negative integer that fits 32 bits; throws
+/// mamps::ParseError on junk and on values above UINT32_MAX (which a
+/// narrowing cast would silently wrap).
+[[nodiscard]] std::uint32_t parseU32(std::string_view s);
 
 /// Parse a signed integer; throws mamps::ParseError on junk.
 [[nodiscard]] std::int64_t parseI64(std::string_view s);

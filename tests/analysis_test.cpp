@@ -220,6 +220,34 @@ TEST(CycleRatioTest, PicksHeaviestCycle) {
   const auto result = maxCycleRatioHoward(timed);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.ratio, Rational(11, 2));
+
+  // Two strongly connected components joined by one one-way edge, in
+  // both directions: a low-ratio ring (la, lb: ratio 2) and a
+  // high-ratio ring (hc, hd: ratio 9). Howard sees the whole graph,
+  // including the cross edge, and must still report the heavier ring.
+  for (const bool lowFeedsHigh : {true, false}) {
+    Graph two;
+    const auto la = two.addActor("la");
+    const auto lb = two.addActor("lb");
+    const auto hc = two.addActor("hc");
+    const auto hd = two.addActor("hd");
+    two.connect(la, 1, lb, 1);
+    two.connect(lb, 1, la, 1, 1);
+    two.connect(hc, 1, hd, 1);
+    two.connect(hd, 1, hc, 1, 1);
+    if (lowFeedsHigh) {
+      two.connect(lb, 1, hc, 1);
+    } else {
+      two.connect(hd, 1, la, 1);
+    }
+    const sdf::TimedGraph split{std::move(two), {1, 1, 5, 4}};
+    const auto howard = maxCycleRatioHoward(split);
+    const auto brute = maxCycleRatioBruteForce(split);
+    ASSERT_TRUE(howard.ok()) << "lowFeedsHigh " << lowFeedsHigh;
+    ASSERT_TRUE(brute.ok()) << "lowFeedsHigh " << lowFeedsHigh;
+    EXPECT_EQ(howard.ratio, brute.ratio) << "lowFeedsHigh " << lowFeedsHigh;
+    EXPECT_EQ(howard.ratio, Rational(9)) << "lowFeedsHigh " << lowFeedsHigh;
+  }
 }
 
 TEST(CycleRatioTest, DetectsDeadlockCycle) {

@@ -406,6 +406,25 @@ TEST(PlatformIoTest, AbsentTdmAttributesDefaultToAnExclusiveTile) {
   EXPECT_EQ(architectureToXml(reparsed), xml);
 }
 
+TEST(PlatformIoTest, AttributesAbove32BitsThrowInsteadOfTruncating) {
+  // A narrowing cast would wrap 2^32 + 1 to 1 and read a 4-slot TDM
+  // wheel back as an exclusive tile; the reader must refuse it.
+  const std::string xml =
+      architectureToXml(generateFromTemplate(withTdm(heterogeneousPreset(4, {"accel"}), 4, 200)));
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = xml;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? out : out.replace(at, from.size(), to);
+  };
+  EXPECT_NO_THROW(architectureFromString(xml));
+  EXPECT_THROW(architectureFromString(replaced("tdmSlots=\"4\"", "tdmSlots=\"4294967297\"")),
+               ParseError);
+  // Prefixing digits pushes a memory size past 32 bits.
+  EXPECT_THROW(architectureFromString(replaced("instrMem=\"", "instrMem=\"4294967296")),
+               ParseError);
+}
+
 TEST(PlatformIoTest, MalformedArchitectureThrows) {
   EXPECT_THROW(architectureFromString("<architecture/>"), ParseError);  // no interconnect
   EXPECT_THROW(architectureFromString("<other interconnect=\"fsl\"/>"), ParseError);

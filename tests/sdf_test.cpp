@@ -413,6 +413,19 @@ TEST(IoTest, MalformedGraphXmlThrows) {
   EXPECT_THROW(graphFromString("<wrongRoot/>"), ParseError);
 }
 
+TEST(IoTest, RatesAbove32BitsThrowInsteadOfTruncating) {
+  // A narrowing cast would wrap 2^32 + 1 to 1 and load a different
+  // (homogeneous) graph without a word; the reader must refuse it.
+  const auto channelWith = [](const std::string& attribute) {
+    return "<sdfGraph><actor name=\"a\"/><actor name=\"b\"/><channel src=\"a\" dst=\"b\" " +
+           attribute + "/></sdfGraph>";
+  };
+  EXPECT_NO_THROW(graphFromString(channelWith("srcRate=\"2\" dstRate=\"2\"")));
+  EXPECT_THROW(graphFromString(channelWith("srcRate=\"4294967297\"")), ParseError);
+  EXPECT_THROW(graphFromString(channelWith("dstRate=\"4294967297\"")), ParseError);
+  EXPECT_THROW(graphFromString(channelWith("tokenSize=\"4294967300\"")), ParseError);
+}
+
 TEST(IoTest, GraphXmlIsParsableXml) {
   // The emitted XML must parse with the generic XML parser too.
   EXPECT_NO_THROW(xml::parse(graphToXml(test::figure2Graph())));

@@ -144,6 +144,14 @@ TEST(StringsTest, ParseU64) {
   EXPECT_THROW((void)parseU64("12x"), ParseError);
 }
 
+TEST(StringsTest, ParseU32RejectsValuesAbove32Bits) {
+  EXPECT_EQ(parseU32("4294967295"), 4294967295u);
+  EXPECT_EQ(parseU32(" 7 "), 7u);
+  EXPECT_THROW((void)parseU32("4294967296"), ParseError);
+  EXPECT_THROW((void)parseU32("4294967297"), ParseError);
+  EXPECT_THROW((void)parseU32("x"), ParseError);
+}
+
 TEST(StringsTest, ParseI64) {
   EXPECT_EQ(parseI64("-42"), -42);
   EXPECT_THROW((void)parseI64("4.2"), ParseError);

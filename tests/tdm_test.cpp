@@ -1,15 +1,16 @@
 // Tests for TDM processor sharing: slot-wheel reservation semantics on
 // the resource budget (validation, the commit auto-claim rule, release
-// teardown), the deterministic WCET-inflation pin, the x125-seed
-// property wall around composability — (a) the TDM-inflated guarantee
-// is never optimistic against a standalone run slowed to the same slot
-// fraction, (b) any interleaving of slot reservations, commits, and
-// releases tears down to a bit-identical pristine budget — plus the
-// admission-control regressions: the plan cache is keyed on slot
-// occupancy (a replay against different slot state must miss, not
-// corrupt), replay reconstructs slot reservations exactly, and the
-// headline capacity claim that TDM sharing admits strictly more
-// instances than exclusive tiles on the 12-tile mesh.
+// teardown), the deterministic WCET-inflation pin and its 64-bit
+// overflow check, the x125-seed property wall around composability —
+// (a) the TDM-inflated guarantee is never optimistic against a
+// standalone run slowed to the same slot fraction, (b) any interleaving
+// of slot reservations, commits, and releases tears down to a
+// bit-identical pristine budget — plus the admission-control
+// regressions: the plan cache is keyed on slot occupancy (a replay
+// against different slot state must miss, not corrupt), replay
+// reconstructs slot reservations exactly, and the headline capacity
+// claim that TDM sharing admits strictly more instances than exclusive
+// tiles on the 12-tile mesh.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -149,6 +150,19 @@ TEST(TdmMappingTest, SharedWheelInflatesTheGuaranteeExactly) {
       mapApplication(app, platform::generateFromTemplate(plain), MappingOptions{});
   ASSERT_TRUE(exclusive.has_value());
   EXPECT_EQ(whole->throughput.iterationsPerCycle, exclusive->throughput.iterationsPerCycle);
+}
+
+TEST(TdmMappingTest, WcetInflationThatWouldWrapThrows) {
+  // In unchecked 64-bit arithmetic, w = 2^62 on a 4-slot wheel makes
+  // w * 4 wrap to 0, and ceil(w * S / k) + overhead comes out as 100
+  // cycles — a guarantee far above what the wheel can deliver. The
+  // mapping step must refuse the input instead.
+  const auto arch = tdmArch(1, InterconnectKind::Fsl, 4, /*wheelOverheadCycles=*/100);
+  const sdf::ApplicationModel app =
+      test::makeAppModel(test::figure2Graph(), {1000, std::uint64_t{1} << 62, 1000});
+  MappingOptions half;
+  half.tdmSlots = 2;
+  EXPECT_THROW((void)mapApplication(app, arch, half), ModelError);
 }
 
 // ------------------------- property (a): the guarantee is conservative
