@@ -78,8 +78,8 @@ void BM_McrThroughput(benchmark::State& state) {
   const auto timed = makeRing(static_cast<std::uint32_t>(state.range(0)),
                               static_cast<std::uint64_t>(state.range(1)), 42);
   for (auto _ : state) {
-    const auto result = analysis::throughputViaMcr(timed);
-    benchmark::DoNotOptimize(result);
+    const auto result = analysis::computeThroughputMcr(timed);
+    benchmark::DoNotOptimize(result.iterationsPerCycle);
   }
 }
 BENCHMARK(BM_McrThroughput)

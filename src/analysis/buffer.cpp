@@ -1,9 +1,9 @@
 #include "analysis/buffer.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
-#include "analysis/mcm.hpp"
 #include "sdf/repetition_vector.hpp"
 
 namespace mamps::analysis {
@@ -194,88 +194,6 @@ std::optional<BufferCapacities> minimalDeadlockFreeCapacities(const Graph& g) {
       throw AnalysisError("minimalDeadlockFreeCapacities: runaway growth");
     }
   }
-}
-
-std::optional<BufferSizingResult> sizeBuffersForThroughput(const sdf::TimedGraph& timed,
-                                                           const Rational& target,
-                                                           std::uint64_t maxRounds) {
-  const Graph& g = timed.graph;
-  auto capacitiesOpt = minimalDeadlockFreeCapacities(g);
-  if (!capacitiesOpt) {
-    return std::nullopt;
-  }
-  BufferCapacities capacities = std::move(*capacitiesOpt);
-
-  const auto evaluate = [&](const BufferCapacities& caps) -> Rational {
-    const ThroughputResult r = computeThroughput(withCapacities(timed, caps));
-    if (r.status == ThroughputResult::Status::Unbounded) {
-      return target;  // infinitely fast: any finite target is met
-    }
-    return r.ok() ? r.iterationsPerCycle : Rational(0);
-  };
-
-  Rational current = evaluate(capacities);
-  // The throughput with unbounded buffers is the ceiling; bail out early
-  // when even that misses the target. Computed via the MCR analysis,
-  // which (unlike state-space execution) handles graphs that are not
-  // strongly bounded. An Unbounded verdict (every cycle has zero total
-  // execution time) clears any finite target.
-  const ThroughputResult ceiling = computeThroughputMcr(timed);
-  if (ceiling.status != ThroughputResult::Status::Unbounded &&
-      (!ceiling.ok() || ceiling.iterationsPerCycle < target)) {
-    return std::nullopt;
-  }
-
-  for (std::uint64_t round = 0; round < maxRounds && current < target; ++round) {
-    // Greedy: grow each non-self channel by one production quantum, keep
-    // the single best improvement per added byte.
-    Rational bestGain(-1);
-    std::optional<ChannelId> bestChannel;
-    Rational bestThroughput = current;
-    for (ChannelId c = 0; c < g.channelCount(); ++c) {
-      if (g.channel(c).isSelfEdge()) {
-        continue;
-      }
-      BufferCapacities trial = capacities;
-      trial[c] += g.channel(c).prodRate;
-      const Rational t = evaluate(trial);
-      if (t > current) {
-        const Rational gain =
-            (t - current) / Rational(static_cast<std::int64_t>(
-                                g.channel(c).prodRate * g.channel(c).tokenSizeBytes));
-        if (gain > bestGain) {
-          bestGain = gain;
-          bestChannel = c;
-          bestThroughput = t;
-        }
-      }
-    }
-    if (!bestChannel) {
-      // Plateau: grow every channel once to escape (throughput is
-      // monotone in capacities, so this is safe).
-      for (ChannelId c = 0; c < g.channelCount(); ++c) {
-        if (!g.channel(c).isSelfEdge()) {
-          capacities[c] += g.channel(c).prodRate;
-        }
-      }
-      current = evaluate(capacities);
-      continue;
-    }
-    capacities[*bestChannel] += g.channel(*bestChannel).prodRate;
-    current = bestThroughput;
-  }
-
-  if (current < target) {
-    return std::nullopt;
-  }
-  BufferSizingResult result;
-  result.capacities = std::move(capacities);
-  result.achievedThroughput = current;
-  for (ChannelId c = 0; c < g.channelCount(); ++c) {
-    result.totalTokens += result.capacities[c];
-    result.totalBytes += result.capacities[c] * g.channel(c).tokenSizeBytes;
-  }
-  return result;
 }
 
 }  // namespace mamps::analysis

@@ -54,27 +54,4 @@ using BufferCapacities = std::vector<std::uint64_t>;
 ///   itself deadlocks
 [[nodiscard]] std::optional<BufferCapacities> minimalDeadlockFreeCapacities(const sdf::Graph& g);
 
-/// Outcome of throughput-constrained buffer sizing.
-struct BufferSizingResult {
-  /// Chosen capacity per channel.
-  BufferCapacities capacities;
-  /// Throughput of the capacitated graph.
-  Rational achievedThroughput = Rational(0);
-  std::uint64_t totalTokens = 0;  ///< sum of capacities
-  std::uint64_t totalBytes = 0;   ///< capacity * tokenSize summed
-};
-
-/// Greedy throughput-constrained buffer sizing: starting from the
-/// minimal deadlock-free distribution, repeatedly grow the capacity
-/// that yields the best throughput improvement per added byte until
-/// `targetIterationsPerCycle` is met.
-/// @param timed the graph to size
-/// @param targetIterationsPerCycle the throughput to reach
-/// @param maxRounds growth-step budget before giving up
-/// @return the sizing, or nullopt when the target is unreachable even
-///   with effectively-unbounded buffers
-[[nodiscard]] std::optional<BufferSizingResult> sizeBuffersForThroughput(
-    const sdf::TimedGraph& timed, const Rational& targetIterationsPerCycle,
-    std::uint64_t maxRounds = 512);
-
 }  // namespace mamps::analysis

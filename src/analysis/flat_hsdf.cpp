@@ -1,6 +1,8 @@
 #include "analysis/flat_hsdf.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "sdf/hsdf.hpp"
 #include "sdf/repetition_vector.hpp"
@@ -11,6 +13,8 @@ namespace mamps::analysis {
 using sdf::ActorId;
 using sdf::Channel;
 using sdf::ChannelId;
+
+constexpr auto kInt64Max = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
 
 void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraints* resources) {
   const sdf::Graph& g = timed.graph;
@@ -26,6 +30,11 @@ void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraint
   copyStart_.resize(g.actorCount());
   hsdfActors_ = 0;
   for (ActorId a = 0; a < g.actorCount(); ++a) {
+    // Every edge weight is some actor's execution time.
+    if (timed.execTime[a] > kInt64Max) {
+      throw AnalysisError("FlatExpansion: execution time of actor " + g.actor(a).name +
+                          " exceeds INT64_MAX");
+    }
     copyStart_[a] = static_cast<std::uint32_t>(hsdfActors_);
     hsdfActors_ += q_[a];
   }
@@ -46,9 +55,9 @@ void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraint
     patchChannel(timed, c);
   }
 
-  // Self-concurrency constraints (see sdf::toHsdf): an actor with
-  // finite limit k gets the expansion of a virtual rate-1 self-edge
-  // carrying k tokens. These edges never change.
+  // Self-concurrency constraints: an actor with finite limit k gets the
+  // expansion of a virtual rate-1 self-edge carrying k tokens. These
+  // edges never change.
   for (ActorId a = 0; a < g.actorCount(); ++a) {
     const std::uint64_t limit = timed.concurrencyLimit(a);
     if (limit == 0) {
@@ -116,10 +125,15 @@ void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraint
 
 void FlatExpansion::patchChannel(const sdf::TimedGraph& timed, ChannelId channel) {
   // One edge per token consumed within an iteration, following the
-  // shared token rule of the standard expansion (sdf::
-  // hsdfTokenDependency — the same function sdf::toHsdf uses, so the
-  // flat table cannot drift from the from-scratch encoding).
+  // token rule of the standard expansion (sdf::hsdfTokenDependency).
   const Channel& ch = timed.graph.channel(channel);
+  // The first consumed token is the oldest initial token: its delay is
+  // the largest of the slab.
+  if (ch.initialTokens > 0 &&
+      sdf::hsdfTokenDependency(0, ch.initialTokens, ch.prodRate, q_[ch.src]).delay > kInt64Max) {
+    throw AnalysisError("FlatExpansion: initial tokens of channel " + ch.name +
+                        " give a delay above INT64_MAX");
+  }
   const std::uint64_t cons = ch.consRate;
   const std::uint64_t qDst = q_[ch.dst];
   const auto weight = static_cast<std::int64_t>(timed.execTime[ch.src]);
@@ -137,52 +151,7 @@ void FlatExpansion::patchChannel(const sdf::TimedGraph& timed, ChannelId channel
   }
 }
 
-const std::vector<CycleRatioEdge>& FlatExpansion::collapse() {
-  // Collapse parallel edges to the minimum-delay representative. The
-  // groups are not static — a slab's endpoints move with its token
-  // count — so the grouping is redone per call, but hash-free: a
-  // counting sort buckets edges by source, then within each source
-  // bucket an epoch-stamped slot table dedups targets (the epoch is the
-  // bucket's position, so the V-sized tables never need clearing).
-  const auto n = static_cast<std::uint32_t>(hsdfActors_);
-  collapsed_.clear();
-  collapsed_.reserve(edges_.size());
-  srcOff_.assign(n + 1, 0);
-  for (const CycleRatioEdge& e : edges_) {
-    ++srcOff_[e.from + 1];
-  }
-  for (std::uint32_t v = 0; v < n; ++v) {
-    srcOff_[v + 1] += srcOff_[v];
-  }
-  srcIdx_.resize(edges_.size());
-  {
-    std::vector<std::uint32_t>& cursor = seenSlot_;  // reuse as fill cursor
-    cursor.assign(n, 0);
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-      const std::uint32_t v = edges_[i].from;
-      srcIdx_[srcOff_[v] + cursor[v]++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  seenEpoch_.assign(n, 0);
-  seenSlot_.assign(n, 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const std::uint32_t epoch = v + 1;
-    for (std::uint32_t i = srcOff_[v]; i < srcOff_[v + 1]; ++i) {
-      const CycleRatioEdge& e = edges_[srcIdx_[i]];
-      if (seenEpoch_[e.to] == epoch) {
-        CycleRatioEdge& existing = collapsed_[seenSlot_[e.to]];
-        existing.delay = std::min(existing.delay, e.delay);
-        continue;
-      }
-      seenEpoch_[e.to] = epoch;
-      seenSlot_[e.to] = static_cast<std::uint32_t>(collapsed_.size());
-      collapsed_.push_back(e);
-    }
-  }
-  return collapsed_;
-}
-
-ThroughputResult solveExpansion(FlatExpansion& flat, CycleRatioSolver& solver) {
+ThroughputResult solveExpansion(const FlatExpansion& flat, CycleRatioSolver& solver) {
   ThroughputResult result;
   result.engine = ThroughputEngine::Mcr;
   result.hsdfActors = flat.hsdfActors();
@@ -190,15 +159,10 @@ ThroughputResult solveExpansion(FlatExpansion& flat, CycleRatioSolver& solver) {
     result.status = ThroughputResult::Status::Deadlock;
     return result;
   }
-  const std::vector<CycleRatioEdge>* edges = nullptr;
-  {
-    support::ScopedTimer timer(result.expansionNanos);
-    edges = &flat.collapse();
-  }
   CycleRatioResult mcr;
   {
     support::ScopedTimer timer(result.solveNanos);
-    mcr = solver.solve(static_cast<std::size_t>(flat.hsdfActors()), *edges);
+    mcr = solver.solve(static_cast<std::size_t>(flat.hsdfActors()), flat.edges());
   }
   switch (mcr.status) {
     case CycleRatioResult::Status::Ok:

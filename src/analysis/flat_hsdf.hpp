@@ -1,15 +1,14 @@
 // Flat, arena-backed HSDF expansion for the MCR fast path.
 //
-// The throughput fast path used to materialize the HSDF expansion as a
-// full sdf::Graph — tens of thousands of uniquely named actors and
-// channels per analysis, rebuilt from strings for every design point.
-// FlatExpansion produces the same expansion as contiguous index-based
-// CycleRatioEdge tables instead: no graph object, no names, no
-// per-element allocation. The channel and self-concurrency edges mirror
-// sdf::toHsdf exactly (both use the shared token rule
-// sdf::hsdfTokenDependency, so the encodings cannot drift), and the
-// solved maximum cycle ratio is bit-identical to the
-// graph-materializing path (pinned by tests/perf_test.cpp).
+// FlatExpansion encodes the HSDF expansion of a timed SDF graph as one
+// contiguous index-based CycleRatioEdge table: no graph object, no
+// names, no per-element allocation. Channel edges follow the token rule
+// of the standard expansion (sdf::hsdfTokenDependency); the solved
+// maximum cycle ratio is bit-identical to the graph-materializing
+// expansion the tests keep as an oracle (tests/hsdf_oracle.hpp, pinned
+// by tests/perf_test.cpp). The table keeps one edge per consumed token,
+// so parallel edges between two firing copies stay in it: the solver
+// accepts them as they are.
 //
 // The table is split into an immutable prefix and mutable slabs:
 // topology, rates, execution times, self-concurrency edges, and
@@ -44,8 +43,9 @@ class FlatExpansion {
   /// is what mcrFastPathApplicable() checks.
   /// @param timed the SDF graph with one execution time per actor
   /// @param resources optional binding and static orders (may be null)
-  /// @throws AnalysisError when the graph is inconsistent or a static
-  ///   order is not exact
+  /// @throws AnalysisError when the graph is inconsistent, a static
+  ///   order is not exact, or an execution time or edge delay exceeds
+  ///   INT64_MAX
   void build(const sdf::TimedGraph& timed, const ResourceConstraints* resources);
 
   /// Re-encode one channel's token slab after its initial-token count
@@ -53,15 +53,14 @@ class FlatExpansion {
   /// @param timed the graph holding the channel's current token count
   ///   (must be the graph build() ran on, with only token counts changed)
   /// @param channel the changed channel
+  /// @throws AnalysisError when an edge delay of the slab exceeds
+  ///   INT64_MAX
   void patchChannel(const sdf::TimedGraph& timed, sdf::ChannelId channel);
 
-  /// Collapse parallel edges to the minimum-delay representative (all
-  /// parallel edges share the source, hence the weight) into a reusable
-  /// internal table — exactly the reduction the string-graph MCR path
-  /// applies before Howard runs. The returned reference stays valid
-  /// until the next collapse()/build() call.
-  /// @return the collapsed edge table, ready for CycleRatioSolver
-  [[nodiscard]] const std::vector<CycleRatioEdge>& collapse();
+  /// The edge table, ready for CycleRatioSolver. The reference stays
+  /// valid until the next build(); patchChannel() updates it in place.
+  /// @return the edges: [channel slabs][self-concurrency][static order]
+  [[nodiscard]] const std::vector<CycleRatioEdge>& edges() const { return edges_; }
 
   /// Total firing copies of the expansion (the HSDF actor count).
   /// @return sum over actors of the repetition count
@@ -73,25 +72,21 @@ class FlatExpansion {
   std::uint64_t hsdfActors_ = 0;          ///< total firing copies
   std::vector<CycleRatioEdge> edges_;     ///< [channel slabs][self-conc][static order]
   std::vector<std::size_t> slabOffset_;   ///< channel -> offset into edges_
-  std::vector<CycleRatioEdge> collapsed_;  ///< scratch: min-delay per pair
-  // Collapse scratch: counting-sort buckets by source plus an
-  // epoch-stamped slot table per target — O(E + V) with no hashing.
-  std::vector<std::uint32_t> srcOff_;      ///< V+1 bucket offsets by edge source
-  std::vector<std::uint32_t> srcIdx_;      ///< edge ids grouped by source
-  std::vector<std::uint32_t> seenEpoch_;   ///< target -> last source epoch
-  std::vector<std::uint32_t> seenSlot_;    ///< target -> collapsed_ index
 };
 
-/// The MCR throughput verdict of an expansion: collapse `flat`, solve
-/// it with `solver`, and read the maximum cycle ratio as a throughput.
-/// An empty expansion is deadlocked; an acyclic expansion or a zero
-/// maximum cycle ratio means unbounded throughput.
-/// @param flat the expansion to solve (collapsed in place)
+/// The MCR throughput verdict of an expansion: solve `flat` with
+/// `solver` and read the maximum cycle ratio as a throughput. An empty
+/// expansion is deadlocked; an acyclic expansion or a zero maximum
+/// cycle ratio means unbounded throughput.
+/// @param flat the expansion to solve
 /// @param solver the solver to run; its warm-start hints seed the solve
 ///   and receive the converged policy
 /// @return the verdict with `engine == ThroughputEngine::Mcr`,
-///   hsdfActors, and the collapse and solve times in
-///   expansionNanos/solveNanos
-[[nodiscard]] ThroughputResult solveExpansion(FlatExpansion& flat, CycleRatioSolver& solver);
+///   hsdfActors, and the solve time in solveNanos (expansionNanos is
+///   left to the caller that built the expansion)
+/// @throws AnalysisError when the edge magnitudes are too large for
+///   exact arithmetic (see CycleRatioSolver::solve)
+[[nodiscard]] ThroughputResult solveExpansion(const FlatExpansion& flat,
+                                              CycleRatioSolver& solver);
 
 }  // namespace mamps::analysis

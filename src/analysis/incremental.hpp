@@ -64,7 +64,7 @@ class IncrementalThroughput {
   void setInitialTokens(sdf::ChannelId channel, std::uint64_t tokens);
 
   /// Re-analyze with the current token counts. On the fast path this
-  /// collapses the cached edge table and runs warm-started Howard; the
+  /// runs warm-started Howard on the cached edge table; the
   /// verdict (status, rational, engine, hsdfActors) is identical to
   /// computeThroughput() on the current graph. Off the fast path it
   /// delegates to computeThroughput() directly.

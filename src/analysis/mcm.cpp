@@ -1,8 +1,7 @@
 #include "analysis/mcm.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
+#include <limits>
 
 #include "analysis/flat_hsdf.hpp"
 #include "sdf/repetition_vector.hpp"
@@ -13,47 +12,25 @@ namespace {
 
 using Edge = CycleRatioEdge;
 using Wide = __int128;
+using UWide = unsigned __int128;
 
 constexpr std::uint32_t kNoNode = 0xffffffffu;
 
-void requireHsdf(const sdf::TimedGraph& hsdf) {
-  for (const sdf::Channel& c : hsdf.graph.channels()) {
-    if (c.prodRate != 1 || c.consRate != 1) {
-      throw AnalysisError("cycle-ratio analysis requires an HSDF graph (all rates 1)");
-    }
-  }
-  if (hsdf.execTime.size() != hsdf.graph.actorCount()) {
-    throw AnalysisError("cycle-ratio analysis: execTime size mismatch");
-  }
+std::uint64_t magnitude(std::int64_t x) {
+  return x < 0 ? 0 - static_cast<std::uint64_t>(x) : static_cast<std::uint64_t>(x);
 }
 
-std::vector<Edge> buildEdges(const sdf::TimedGraph& hsdf) {
-  // Parallel edges between the same pair carry the same weight (the
-  // source's execution time); only the one with the fewest tokens can
-  // attain the maximum ratio, so collapse them. The HSDF expansion of a
-  // multi-rate channel produces one parallel edge per token, making this
-  // a large reduction on expanded graphs.
-  std::vector<Edge> edges;
-  edges.reserve(hsdf.graph.channelCount());
-  // lint:allow(unordered-deterministic) -- never iterated: try_emplace lookups only, and min() over parallel delays is order-independent
-  std::unordered_map<std::uint64_t, std::size_t> byPair;
-  byPair.reserve(hsdf.graph.channelCount());
-  for (const sdf::Channel& c : hsdf.graph.channels()) {
-    const std::uint64_t key = (std::uint64_t{c.src} << 32) | c.dst;
-    const auto [it, inserted] = byPair.try_emplace(key, edges.size());
-    if (!inserted) {
-      Edge& existing = edges[it->second];
-      existing.delay = std::min(existing.delay, static_cast<std::int64_t>(c.initialTokens));
-      continue;
-    }
-    Edge e;
-    e.from = c.src;
-    e.to = c.dst;
-    e.weight = static_cast<std::int64_t>(hsdf.execTime[c.src]);
-    e.delay = static_cast<std::int64_t>(c.initialTokens);
-    edges.push_back(e);
+/// Throw unless the cyclic core keeps Howard's arithmetic exact: W and
+/// D fit int64 and (W + L) * D^2 < 2^124 (the bound is derived in
+/// Scratch::howard). `weight` is W, `loopWeight` L and `delay` D.
+void requireExactArithmetic(UWide weight, UWide loopWeight, UWide delay) {
+  constexpr auto kInt64Max = static_cast<UWide>(std::numeric_limits<std::int64_t>::max());
+  constexpr UWide kProductBound = UWide{1} << 124;
+  if (weight > kInt64Max || delay > kInt64Max ||
+      (delay != 0 && weight + loopWeight > (kProductBound - 1) / (delay * delay))) {
+    throw AnalysisError(
+        "CycleRatioSolver: edge weights and delays too large for exact int64/int128 arithmetic");
   }
-  return edges;
 }
 
 }  // namespace
@@ -72,8 +49,9 @@ struct CycleRatioSolver::Scratch {
   std::vector<std::uint32_t> queue;          // peel worklist
   std::vector<char> alive;                   // node -> lies on some cycle
   // --- edge working sets ---------------------------------------------
-  std::vector<Edge> work;  // cyclic-core edges
-  std::vector<Edge> zero;  // zero-delay subset (deadlock check)
+  std::vector<Edge> work;             // cyclic-core edges
+  std::vector<Edge> zero;             // zero-delay subset (deadlock check)
+  std::vector<std::uint64_t> maxOut;  // node -> largest |weight| of its core out-edges
   // --- Howard's policy iteration over `work` -------------------------
   std::vector<std::uint32_t> edgeOff, edgeIdx;  // out-CSR of work-edge ids
   std::vector<std::uint32_t> policy;            // node -> chosen edge id
@@ -184,20 +162,10 @@ CycleRatioResult CycleRatioSolver::Scratch::howard(
     if (edgeOff[v] == edgeOff[v + 1]) {
       continue;
     }
-    // Cold seed: the minimum-delay out-edge (first wins on ties). All
-    // out-edges of an HSDF node carry the same weight — the source's
-    // execution time — so the maximum-ratio cycle is biased toward
-    // token-free edges; seeding with them cuts cold convergence from
-    // dozens of sweeps to a handful. Any seed yields the same maximum
-    // ratio, so this is purely an iteration-count heuristic, and so is
-    // the warm-start hint that overrides it.
-    std::uint32_t pick = edgeIdx[edgeOff[v]];
-    for (std::uint32_t i = edgeOff[v] + 1; i < edgeOff[v + 1]; ++i) {
-      if (edges[edgeIdx[i]].delay < edges[pick].delay) {
-        pick = edgeIdx[i];
-      }
-    }
-    policy[v] = pick;
+    // Cold seed: the first out-edge. Any seed yields the same maximum
+    // ratio, so the warm-start hint that overrides it only changes the
+    // iteration count.
+    policy[v] = edgeIdx[edgeOff[v]];
     if (haveHints) {
       for (std::uint32_t i = edgeOff[v]; i < edgeOff[v + 1]; ++i) {
         if (edges[edgeIdx[i]].to == preferredSuccessor[v]) {
@@ -214,9 +182,22 @@ CycleRatioResult CycleRatioSolver::Scratch::howard(
   // comparison cross-multiplies instead of normalizing, which removes
   // all gcd work from the hot loop. The final answer is materialized as
   // a normalized Rational, so results are bit-identical to the
-  // rational-arithmetic formulation. Magnitudes stay far inside 128
-  // bits: |valueNum| <= pathLength * (maxWeight + cycleWeight) *
-  // cycleDelay, and comparisons multiply by one more delay sum.
+  // rational-arithmetic formulation.
+  //
+  // Magnitudes. solve() admits a core only when W (the sum over nodes of
+  // the largest out-edge |weight|) and D (the sum of all |delay|s) fit
+  // int64 and (W + L) * D^2 < 2^124, where L is the summed |weight| of
+  // the self-loops. A simple path or cycle has weight <= W and delay
+  // <= D, so the int64 cycle sums and every ratioNum/ratioDen fit. A
+  // value is a sum of w(e)*den - num*delay(e) over a walk, with one
+  // (num, den) pair along it, so each term set contributes at most
+  // weight*D to either sign. An evaluated walk is a simple path into
+  // the anchored cycle. An improvement pass prefixes at most one more
+  // simple path (a node only adopts labels rewritten earlier in the
+  // pass, i.e. of higher ids) plus self-loops, each applied at most
+  // once per pass. So every value and candidate stays within
+  // (3W + L) * D, and a comparison, which multiplies by one more den
+  // <= D, within 3 * (W + L) * D^2 < 2^126: inside Wide.
   ratioNum.assign(n, 0);   // cycle weight sum
   ratioDen.assign(n, 1);   // cycle delay sum (> 0)
   valueNum.assign(n, 0);   // potential * ratioDen[v]
@@ -394,15 +375,27 @@ CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
   // steady-state period.
   s.cyclicCore(nodeCount, edges);
   s.work.clear();
+  s.maxOut.assign(nodeCount, 0);
+  UWide loopWeight = 0;
+  UWide delaySum = 0;
   for (const Edge& e : edges) {
     if (s.alive[e.from] != 0 && s.alive[e.to] != 0) {
       s.work.push_back(e);
+      const std::uint64_t w = magnitude(e.weight);
+      s.maxOut[e.from] = std::max(s.maxOut[e.from], w);
+      loopWeight += e.from == e.to ? w : 0;
+      delaySum += magnitude(e.delay);
     }
   }
   if (s.work.empty()) {
     result.status = CycleRatioResult::Status::Acyclic;
     return result;
   }
+  UWide weightSum = 0;
+  for (const std::uint64_t w : s.maxOut) {
+    weightSum += w;
+  }
+  requireExactArithmetic(weightSum, loopWeight, delaySum);
 
   // Zero-delay cycle <=> deadlock. Detect first: restrict to zero-delay
   // edges and check for a cycle among them.
@@ -417,84 +410,6 @@ CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
     return result;
   }
   return s.howard(nodeCount, preferredSuccessor_);
-}
-
-CycleRatioResult maxCycleRatioHoward(const sdf::TimedGraph& hsdf) {
-  requireHsdf(hsdf);
-  CycleRatioSolver solver;
-  return solver.solve(hsdf.graph.actorCount(), buildEdges(hsdf));
-}
-
-CycleRatioResult maxCycleRatioBruteForce(const sdf::TimedGraph& hsdf) {
-  requireHsdf(hsdf);
-  const std::size_t n = hsdf.graph.actorCount();
-  const std::vector<Edge> edges = buildEdges(hsdf);
-  std::vector<std::vector<std::size_t>> outEdges(n);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    outEdges[edges[i].from].push_back(i);
-  }
-
-  CycleRatioResult result;
-  bool foundCycle = false;
-  bool deadlock = false;
-  Rational best(0);
-
-  // DFS enumeration of simple cycles rooted at each start node; only
-  // nodes >= start participate, so each cycle is found exactly once
-  // (rooted at its minimum node).
-  std::vector<bool> onPath(n, false);
-  std::vector<std::size_t> pathEdges;
-
-  const std::function<void(std::size_t, std::size_t)> dfs = [&](std::size_t start, std::size_t v) {
-    for (const std::size_t ei : outEdges[v]) {
-      const Edge& e = edges[ei];
-      if (e.to < start || deadlock) {
-        continue;
-      }
-      if (e.to == start) {
-        std::int64_t w = e.weight;
-        std::int64_t d = e.delay;
-        for (const std::size_t pe : pathEdges) {
-          w += edges[pe].weight;
-          d += edges[pe].delay;
-        }
-        if (d == 0) {
-          deadlock = true;
-          return;
-        }
-        const Rational r(w, d);
-        if (!foundCycle || r > best) {
-          best = r;
-          foundCycle = true;
-        }
-        continue;
-      }
-      if (onPath[e.to]) {
-        continue;
-      }
-      onPath[e.to] = true;
-      pathEdges.push_back(ei);
-      dfs(start, e.to);
-      pathEdges.pop_back();
-      onPath[e.to] = false;
-    }
-  };
-
-  for (std::size_t start = 0; start < n && !deadlock; ++start) {
-    onPath[start] = true;
-    dfs(start, start);
-    onPath[start] = false;
-  }
-
-  if (deadlock) {
-    result.status = CycleRatioResult::Status::Deadlock;
-  } else if (foundCycle) {
-    result.status = CycleRatioResult::Status::Ok;
-    result.ratio = best;
-  } else {
-    result.status = CycleRatioResult::Status::Acyclic;
-  }
-  return result;
 }
 
 ThroughputResult computeThroughputMcr(const sdf::TimedGraph& timed,
@@ -516,16 +431,8 @@ ThroughputResult computeThroughputMcr(const sdf::TimedGraph& timed,
   }
   CycleRatioSolver solver;
   ThroughputResult result = solveExpansion(flat, solver);
-  result.expansionNanos += buildNanos;
+  result.expansionNanos = buildNanos;
   return result;
-}
-
-std::optional<Rational> throughputViaMcr(const sdf::TimedGraph& timed) {
-  const ThroughputResult result = computeThroughputMcr(timed);
-  if (!result.ok()) {
-    return std::nullopt;
-  }
-  return result.iterationsPerCycle;
 }
 
 }  // namespace mamps::analysis

@@ -10,17 +10,14 @@
 // General SDF graphs are analyzed by expanding them to HSDF first
 // (analysis/flat_hsdf.hpp); static-order schedules of shared resources
 // are encoded exactly as additional HSDF precedence edges, so
-// resource-shared binding-aware graphs stay on the fast path.
-//
-// Two cycle-ratio implementations are provided: Howard's policy
-// iteration with exact rational arithmetic (fast, used by the flow) and
-// a brute-force simple cycle enumeration (exponential, used as a
-// cross-check in tests).
+// resource-shared binding-aware graphs stay on the fast path. The cycle
+// ratio is computed by Howard's policy iteration with exact integer
+// arithmetic; the tests cross-check it against a brute-force simple
+// cycle enumeration (tests/hsdf_oracle.hpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "analysis/throughput.hpp"
@@ -78,15 +75,14 @@ struct SolverWarmStart {
 /// Howard's policy iteration over an explicit edge list, with reusable
 /// policy state: successive solve() calls on perturbed versions of the
 /// same graph warm-start from the previous optimal policy (stored as
-/// preferred successor per node, so it survives edge re-collapsing),
+/// preferred successor per node, so it survives a changed edge layout),
 /// which typically converges in one or two sweeps. A default-constructed
-/// solver is cold; the first solve() behaves exactly like
-/// maxCycleRatioHoward().
+/// solver is cold.
 ///
 /// Internally a solve peels the graph to its cyclic core (Kahn-style,
 /// O(V + E)), reports a deadlock when the zero-delay edges of the core
 /// close a cycle, and otherwise runs one Howard instance over the whole
-/// core: min-delay cold seed (or the warm-start hints), exact policy
+/// core: first-out-edge cold seed (or the warm-start hints), exact policy
 /// evaluation, and one descending label-correcting improvement pass per
 /// iteration. The core need not be strongly connected — the multichain
 /// evaluation ranks nodes by the ratio of the cycle they reach, so the
@@ -110,6 +106,11 @@ class CycleRatioSolver {
   /// @param nodeCount number of nodes; edge endpoints must be < nodeCount
   /// @param edges the precedence edges
   /// @return the maximum cycle ratio, or Deadlock/Acyclic verdicts
+  /// @throws AnalysisError when the cyclic core's weights and delays are
+  ///   too large for exact arithmetic: W (the sum over nodes of the
+  ///   largest out-edge |weight|) or D (the sum of |delay|s) exceeds
+  ///   INT64_MAX, or (W + L) * D^2 >= 2^124 with L the summed
+  ///   self-loop |weight|s
   [[nodiscard]] CycleRatioResult solve(std::size_t nodeCount,
                                       const std::vector<CycleRatioEdge>& edges);
 
@@ -133,23 +134,6 @@ class CycleRatioSolver {
   std::unique_ptr<Scratch> scratch_;               ///< lazily created, reused
 };
 
-/// Maximum cycle ratio of a timed HSDF graph via Howard's policy
-/// iteration. Edge weight = execution time of the channel's source
-/// actor; edge delay = initial tokens.
-/// @param hsdf the HSDF graph (all channel rates must be 1)
-/// @return the maximum cycle ratio, or Deadlock/Acyclic verdicts
-/// @throws AnalysisError when the graph has a channel with rates != 1
-///   or the execution-time vector does not match the actor count
-[[nodiscard]] CycleRatioResult maxCycleRatioHoward(const sdf::TimedGraph& hsdf);
-
-/// Same quantity by enumerating all simple cycles (exponential; only for
-/// small test graphs).
-/// @param hsdf the HSDF graph (all channel rates must be 1)
-/// @return the maximum cycle ratio, or Deadlock/Acyclic verdicts
-/// @throws AnalysisError when the graph has a channel with rates != 1
-///   or the execution-time vector does not match the actor count
-[[nodiscard]] CycleRatioResult maxCycleRatioBruteForce(const sdf::TimedGraph& hsdf);
-
 /// Full throughput verdict via the MCR fast path: flat HSDF expansion
 /// (analysis/flat_hsdf.hpp; static orders encoded as precedence edges
 /// when `resources` is non-null) and Howard's policy iteration. Never
@@ -161,13 +145,9 @@ class CycleRatioSolver {
 /// @param resources optional binding and static orders (may be null)
 /// @return a ThroughputResult with `engine == ThroughputEngine::Mcr`
 /// @throws AnalysisError on shape violations (execTime size, schedule
-///   appearance counts)
+///   appearance counts) or when execution times and delays are too
+///   large for exact arithmetic
 [[nodiscard]] ThroughputResult computeThroughputMcr(
     const sdf::TimedGraph& timed, const ResourceConstraints* resources = nullptr);
-
-/// Throughput of an SDF graph via conversion to HSDF and MCR analysis.
-/// @param timed the SDF graph to analyze
-/// @return iterations per cycle; nullopt when deadlocked (or empty)
-[[nodiscard]] std::optional<Rational> throughputViaMcr(const sdf::TimedGraph& timed);
 
 }  // namespace mamps::analysis

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <tuple>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "analysis/mcm.hpp"
@@ -19,132 +18,16 @@ using sdf::Channel;
 using sdf::ChannelId;
 using sdf::Graph;
 
-/// Canonicalised quiescent-state key: token counts of the channels that
-/// are not derivable from the rest of the state, per-actor sorted
-/// remaining firing times (length-prefixed), and per-resource schedule
-/// positions, packed into one flat buffer.
+/// Canonicalised quiescent-state key: per-channel token counts,
+/// per-actor sorted remaining firing times (length-prefixed), and
+/// per-resource schedule positions.
 using StateKey = std::vector<std::uint64_t>;
 
-/// Open-addressing store of quiescent states. Every key's words live
-/// back-to-back in one contiguous arena; a slot records (offset, length,
-/// visit) so a lookup is one linear probe over a flat table plus a
-/// word-wise compare into the arena — no per-state key allocation, no
-/// node-based buckets. Membership is decided by exact key equality
-/// (the hash only picks the starting probe), so verdicts and
-/// statesExplored are bit-identical to a node-based map. Iteration
-/// order never escapes: only size(), lookups, and the prune count are
-/// observable, and the step-watermark prune keeps exactly the same set
-/// a per-entry erase would.
-class FlatStateStore {
- public:
-  /// Bookkeeping of one stored quiescent state.
-  struct Visit {
-    std::uint64_t time = 0;
-    std::uint64_t completions = 0;
-    std::uint64_t step = 0;
-  };
-
-  FlatStateStore() { slots_.resize(kInitialSlots); }
-
-  /// Number of live states.
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Find `key`, inserting it with `visit` when absent.
-  /// @return the stored visit (valid until the next insert or prune)
-  ///   and whether an insert happened
-  std::pair<Visit*, bool> tryEmplace(const StateKey& key, const Visit& visit) {
-    if ((size_ + 1) * 4 >= slots_.size() * 3) {
-      rehash(slots_.size() * 2);
-    }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashKey(key.data(), key.size()) & mask;
-    while (slots_[i].len != kEmpty) {
-      if (slots_[i].len == key.size() &&
-          std::equal(key.begin(), key.end(), arena_.begin() + slots_[i].offset)) {
-        return {&slots_[i].visit, false};
-      }
-      i = (i + 1) & mask;
-    }
-    Slot& slot = slots_[i];
-    slot.offset = arena_.size();
-    slot.len = key.size();
-    slot.visit = visit;
-    arena_.insert(arena_.end(), key.begin(), key.end());
-    ++size_;
-    return {&slot.visit, true};
-  }
-
-  /// Drop every state whose visit step is below `watermark` and compact
-  /// the key arena (the dropped transient-prefix keys are the bulk of
-  /// it). @return the number of dropped states
-  std::uint64_t pruneBelow(std::uint64_t watermark) {
-    std::uint64_t dropped = 0;
-    std::vector<std::uint64_t> keptArena;
-    keptArena.reserve(arena_.size());
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size(), Slot{});
-    size_ = 0;
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.len == kEmpty) {
-        continue;
-      }
-      if (s.visit.step < watermark) {
-        ++dropped;
-        continue;
-      }
-      std::size_t i = hashKey(arena_.data() + s.offset, s.len) & mask;
-      while (slots_[i].len != kEmpty) {
-        i = (i + 1) & mask;
-      }
-      slots_[i].offset = keptArena.size();
-      slots_[i].len = s.len;
-      slots_[i].visit = s.visit;
-      keptArena.insert(keptArena.end(), arena_.begin() + s.offset,
-                       arena_.begin() + s.offset + s.len);
-      ++size_;
-    }
-    arena_ = std::move(keptArena);
-    return dropped;
-  }
-
- private:
-  static constexpr std::size_t kInitialSlots = 1024;  // power of two
-  static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
-
-  struct Slot {
-    std::size_t offset = 0;    ///< first word of the key in the arena
-    std::size_t len = kEmpty;  ///< key length in words (kEmpty = free)
-    Visit visit;
-  };
-
-  static std::uint64_t hashKey(const std::uint64_t* words, std::size_t len) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= words[i] + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-
-  void rehash(std::size_t newSlotCount) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(newSlotCount, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.len == kEmpty) {
-        continue;
-      }
-      std::size_t i = hashKey(arena_.data() + s.offset, s.len) & mask;
-      while (slots_[i].len != kEmpty) {
-        i = (i + 1) & mask;
-      }
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;            ///< open-addressing table
-  std::vector<std::uint64_t> arena_;   ///< concatenated key words
-  std::size_t size_ = 0;               ///< live states
+/// Bookkeeping of one stored quiescent state.
+struct Visit {
+  std::uint64_t time = 0;
+  std::uint64_t completions = 0;
+  std::uint64_t step = 0;
 };
 
 class Simulator {
@@ -165,21 +48,16 @@ class Simulator {
       schedulePos_.resize(resources_->staticOrder.size(), 0);
       resourceBusy_.resize(resources_->staticOrder.size(), 0);
     }
-    computeStoredChannels();
   }
 
   ThroughputResult run() {
-    // Phase profile: storeNanos_ is accumulated around the encode/
-    // store/prune blocks inside runImpl(); everything else of the loop
-    // is the solver proper.
-    std::uint64_t totalNanos = 0;
+    std::uint64_t solveNanos = 0;
     ThroughputResult result;
     {
-      support::ScopedTimer timer(totalNanos);
+      support::ScopedTimer timer(solveNanos);
       result = runImpl();
     }
-    result.storeNanos = storeNanos_;
-    result.solveNanos = totalNanos - std::min(storeNanos_, totalNanos);
+    result.solveNanos = solveNanos;
     return result;
   }
 
@@ -213,7 +91,7 @@ class Simulator {
     }
     const std::uint64_t divergenceThreshold = initialTotal + 64 * perIteration + 4096;
 
-    FlatStateStore seen;
+    std::map<StateKey, Visit> seen;
     std::uint64_t pruned = 0;
     const std::uint64_t storeLimit = std::max<std::uint64_t>(options_.maxStoredStates, 16);
 
@@ -243,16 +121,10 @@ class Simulator {
         return result;
       }
 
-      FlatStateStore::Visit* visit = nullptr;
-      bool inserted = false;
-      {
-        support::ScopedTimer timer(storeNanos_);
-        encodeState(keyBuffer_);
-        std::tie(visit, inserted) =
-            seen.tryEmplace(keyBuffer_, FlatStateStore::Visit{now_, refCompletions_, step});
-      }
+      const auto [visit, inserted] =
+          seen.try_emplace(encodeState(), Visit{now_, refCompletions_, step});
       if (!inserted) {
-        const FlatStateStore::Visit& prev = *visit;
+        const Visit& prev = visit->second;
         const std::uint64_t period = now_ - prev.time;
         const std::uint64_t completions = refCompletions_ - prev.completions;
         result.statesExplored = seen.size() + pruned;
@@ -263,23 +135,30 @@ class Simulator {
           result.status = ThroughputResult::Status::Unbounded;
           return result;
         }
+        std::uint64_t cycles = 0;
+        if (__builtin_mul_overflow(qRef, period, &cycles) ||
+            cycles > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+          throw AnalysisError("computeThroughput: a period of " + std::to_string(period) +
+                              " cycles times q = " + std::to_string(qRef) +
+                              " does not fit int64");
+        }
         result.status = ThroughputResult::Status::Ok;
         result.iterationsPerCycle = Rational(static_cast<std::int64_t>(completions),
-                                             static_cast<std::int64_t>(qRef * period));
+                                             static_cast<std::int64_t>(cycles));
         return result;
       }
 
-      // Storage-aware prefix pruning: the oldest stored states belong to
-      // the transient prefix (or to laps of the periodic phase that have
-      // younger equivalents). Dropping them keeps memory bounded; as
-      // long as the periodic phase fits in the retained window
-      // (~storeLimit/2 steps) a younger copy of a periodic state is
-      // revisited and detection still occurs. A period longer than the
-      // window ends in StepLimit — raise maxStoredStates for such
-      // graphs.
+      // Prefix pruning: the oldest stored states belong to the transient
+      // prefix (or to laps of the periodic phase that have younger
+      // equivalents). Dropping them keeps memory bounded; as long as the
+      // periodic phase fits in the retained window (~storeLimit/2 steps)
+      // a younger copy of a periodic state is revisited and detection
+      // still occurs. A period longer than the window ends in StepLimit —
+      // raise maxStoredStates for such graphs.
       if (seen.size() > storeLimit) {
-        support::ScopedTimer timer(storeNanos_);
-        pruned += seen.pruneBelow(step - storeLimit / 2);
+        const std::uint64_t watermark = step - storeLimit / 2;
+        pruned += std::erase_if(seen,
+                                [&](const auto& entry) { return entry.second.step < watermark; });
       }
 
       advanceTime();
@@ -292,61 +171,16 @@ class Simulator {
  private:
   static constexpr ActorId kReferenceActor = 0;
 
-  /// Mark the channels whose token count must be part of the state key.
-  /// Two families are derivable from the rest of the key and are
-  /// skipped (the storage-distribution-aware part of the pruning):
-  ///
-  ///  - self-edges: tokens = initial - consRate * ongoing(actor);
-  ///  - channels sharing endpoints and rates with a stored
-  ///    representative: same-direction duplicates differ from the
-  ///    representative by a constant, and reverse-direction channels
-  ///    (the capacity back-edges of a storage distribution) satisfy
-  ///      tokens(fwd) + tokens(rev) + prod*ongoing(src) + cons*ongoing(dst)
-  ///    = const, so their count follows from the representative's.
-  void computeStoredChannels() {
-    storeToken_.assign(graph_.channelCount(), true);
-    // Key: canonical (src, dst, prod, cons) signature with the two
-    // orientations mapped to the same bucket. Ordered map: which
-    // channel becomes the representative depends only on ChannelId
-    // order, never on hash-bucket layout.
-    using Signature = std::pair<std::uint64_t, std::uint64_t>;  // (endpoints, rates)
-    std::map<Signature, ChannelId> representative;
-    for (ChannelId c = 0; c < graph_.channelCount(); ++c) {
-      const Channel& channel = graph_.channel(c);
-      if (channel.isSelfEdge()) {
-        storeToken_[c] = false;
-        continue;
-      }
-      const bool flip = channel.dst < channel.src;
-      const std::uint64_t lo = flip ? channel.dst : channel.src;
-      const std::uint64_t hi = flip ? channel.src : channel.dst;
-      const std::uint64_t ra = flip ? channel.consRate : channel.prodRate;
-      const std::uint64_t rb = flip ? channel.prodRate : channel.consRate;
-      const Signature sig{(lo << 32) | hi, (ra << 32) | rb};
-      const auto [it, inserted] = representative.try_emplace(sig, c);
-      if (!inserted) {
-        storeToken_[c] = false;  // derivable from the representative
-      }
-    }
-  }
-
-  /// Encode the current quiescent state into `key` (a reusable buffer;
-  /// no allocation once its capacity has grown to the key size).
-  void encodeState(StateKey& key) const {
-    key.clear();
-    key.reserve(graph_.channelCount() + 2 * graph_.actorCount() + schedulePos_.size());
-    for (ChannelId c = 0; c < graph_.channelCount(); ++c) {
-      if (storeToken_[c]) {
-        key.push_back(tokens_[c]);
-      }
-    }
+  [[nodiscard]] StateKey encodeState() const {
+    StateKey key;
+    key.reserve(tokens_.size() + 2 * graph_.actorCount() + schedulePos_.size());
+    key.assign(tokens_.begin(), tokens_.end());
     for (const auto& r : remaining_) {
       key.push_back(r.size());
       key.insert(key.end(), r.begin(), r.end());
     }
-    for (const std::uint32_t p : schedulePos_) {
-      key.push_back(p);
-    }
+    key.insert(key.end(), schedulePos_.begin(), schedulePos_.end());
+    return key;
   }
 
   [[nodiscard]] std::uint32_t resourceOf(ActorId a) const {
@@ -455,7 +289,9 @@ class Simulator {
         delta = std::min(delta, r.front());
       }
     }
-    now_ += delta;
+    if (__builtin_add_overflow(now_, delta, &now_)) {
+      throw AnalysisError("computeThroughput: state-space time exceeds 2^64 cycles");
+    }
     for (auto& r : remaining_) {
       for (auto& v : r) {
         v -= delta;
@@ -470,14 +306,11 @@ class Simulator {
   ThroughputOptions options_;
   const ResourceConstraints* resources_;
   std::vector<std::uint32_t> resourceBusy_;  // ongoing firings per resource
-  std::vector<bool> storeToken_;             // channel token count in the key?
   std::vector<std::uint64_t> tokens_;                  // per channel
   std::vector<std::vector<std::uint64_t>> remaining_;  // per actor, sorted
   std::vector<std::uint32_t> schedulePos_;             // per resource
   std::uint64_t now_ = 0;
   std::uint64_t refCompletions_ = 0;
-  StateKey keyBuffer_;            // reusable state-key encode buffer
-  std::uint64_t storeNanos_ = 0;  // encode/store/prune time (profile)
 };
 
 /// Saturating accumulate for the HSDF-size estimate.

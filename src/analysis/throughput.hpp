@@ -157,15 +157,12 @@ struct ThroughputResult {
   // accumulations; integer nanoseconds so equality checks stay exact).
   // Timings are measurements, not results: the determinism property
   // wall compares every field of two ThroughputResults *except* these.
-  /// Nanoseconds spent building/patching/collapsing the HSDF edge
-  /// tables (MCR engine only).
+  /// Nanoseconds spent building the HSDF edge tables (MCR engine only;
+  /// zero for a re-solve of an IncrementalThroughput context).
   std::uint64_t expansionNanos = 0;
   /// Nanoseconds spent in the solver proper: Howard's policy iteration
-  /// (MCR) or the simulation loop minus state storage (state-space).
+  /// (MCR) or the whole state-space exploration.
   std::uint64_t solveNanos = 0;
-  /// Nanoseconds spent encoding, storing, and pruning quiescent states
-  /// (state-space engine only).
-  std::uint64_t storeNanos = 0;
 
   /// True when the analysis completed with a throughput value.
   /// @return status == Status::Ok
@@ -178,8 +175,9 @@ struct ThroughputResult {
 ///   entry per actor
 /// @param options engine selection and safety limits
 /// @return the throughput verdict, including which engine ran
-/// @throws AnalysisError on shape violations or when a forced engine
-///   cannot represent the requested semantics
+/// @throws AnalysisError on shape violations, when a forced engine
+///   cannot represent the requested semantics, or when execution times,
+///   delays or the period are too large for exact int64 arithmetic
 [[nodiscard]] ThroughputResult computeThroughput(const sdf::TimedGraph& timed,
                                                  const ThroughputOptions& options = {});
 
@@ -194,8 +192,9 @@ struct ThroughputResult {
 /// @param resources the binding and static-order schedules
 /// @param options engine selection and safety limits
 /// @return the throughput verdict, including which engine ran
-/// @throws AnalysisError on shape violations or when a forced engine
-///   cannot represent the requested semantics
+/// @throws AnalysisError on shape violations, when a forced engine
+///   cannot represent the requested semantics, or when execution times,
+///   delays or the period are too large for exact int64 arithmetic
 [[nodiscard]] ThroughputResult computeThroughput(const sdf::TimedGraph& timed,
                                                  const ResourceConstraints& resources,
                                                  const ThroughputOptions& options = {});

@@ -82,15 +82,23 @@ void assignBuffers(const sdf::Graph& g, const std::vector<ChannelRoute>& routes,
 }
 
 void growBuffers(const sdf::Graph& g, Mapping& mapping) {
+  // Checked, because bufferGrowthRounds is a user option and a wrapped
+  // (smaller) capacity would make the guarantee optimistic.
+  const auto twice = [&](std::uint64_t& tokens, ChannelId c) {
+    if (__builtin_mul_overflow(tokens, std::uint64_t{2}, &tokens)) {
+      throw ModelError("mapOntoBudget: buffer of channel " + g.channel(c).name +
+                       " overflows 64 bits");
+    }
+  };
   for (ChannelId c = 0; c < g.channelCount(); ++c) {
     if (g.channel(c).isSelfEdge()) {
       continue;
     }
     if (mapping.channelRoutes[c].interTile) {
-      mapping.srcBufferTokens[c] *= 2;
-      mapping.dstBufferTokens[c] *= 2;
+      twice(mapping.srcBufferTokens[c], c);
+      twice(mapping.dstBufferTokens[c], c);
     } else {
-      mapping.localCapacityTokens[c] *= 2;
+      twice(mapping.localCapacityTokens[c], c);
     }
   }
 }

@@ -162,8 +162,8 @@ struct TimedGraph {
   /// struct) instead of assigning fields one by one, so a future field
   /// cannot be silently dropped the way `maxConcurrent` once was in
   /// analysis::withCapacities. Transformations that change the actor
-  /// set (sdf::toHsdf, comm::expandChannels) cannot use it and must
-  /// instead populate every annotation per actor they emit.
+  /// set (comm::expandChannels, the tests' HSDF oracle) cannot use it
+  /// and must instead populate every annotation per actor they emit.
   /// @param timing source of the per-actor annotations
   /// @param structure the transformed graph; must have the same actor
   ///   count as `timing.graph`

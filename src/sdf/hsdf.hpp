@@ -1,16 +1,14 @@
-// SDF to HSDF (homogeneous SDF) conversion.
+// The token rule of the SDF-to-HSDF (homogeneous SDF) expansion.
 //
 // Every actor a of the SDF graph is expanded into q[a] copies, one per
 // firing within an iteration; every channel is expanded into token-level
 // dependencies between specific firings using the standard construction
 // (Sriram & Bhattacharyya). All rates in the result are 1, so the
-// resulting graph can be analyzed with maximum-cycle-ratio techniques.
+// expansion can be analyzed with maximum-cycle-ratio techniques
+// (analysis/flat_hsdf.hpp).
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "sdf/graph.hpp"
 
 /// \namespace mamps::sdf
 /// \brief The SDF graph model: structure, repetition vectors, HSDF
@@ -28,10 +26,11 @@ struct TokenDependency {
 };
 
 /// The token rule of the standard expansion (Sriram & Bhattacharyya),
-/// shared by sdf::toHsdf and the incremental analysis context so the
-/// two encodings cannot drift apart: the token at consumption position
-/// `n` of a channel with `d` initial tokens and production rate `prod`
-/// was produced by firing floor((n - d) / prod); non-negative indices
+/// shared by the analysis layer's flat expansion and the tests'
+/// graph-materializing oracle so the two encodings cannot drift apart:
+/// the token at consumption position `n` of a channel with `d` initial
+/// tokens and production rate `prod` was produced by firing
+/// floor((n - d) / prod); non-negative indices
 /// land in the current iteration (copy index, delay 0), negative ones
 /// are initial tokens attributed to copies of earlier iterations (the
 /// iteration distance becomes the delay).
@@ -50,30 +49,5 @@ struct TokenDependency {
   }
   return {(n - d) / prod % qSrc, 0};
 }
-
-/// Result of expanding an SDF graph into its homogeneous equivalent.
-struct HsdfExpansion {
-  /// The expanded graph; all rates are 1 and execution times are copied
-  /// from the original actor of each firing copy.
-  TimedGraph hsdf;
-  /// hsdf actor id -> original SDF actor id
-  std::vector<ActorId> originalActor;
-  /// hsdf actor id -> firing index within the iteration (0..q[a]-1)
-  std::vector<std::uint32_t> firingIndex;
-};
-
-/// Expand `timed` into an equivalent HSDF graph. The conversion
-/// preserves the self-timed throughput of every actor: channels become
-/// token-level dependencies between firing copies, and an actor with a
-/// finite self-concurrency limit k gets the expansion of a virtual
-/// rate-1 self-edge carrying k tokens (firing copy j depends on the
-/// completion of firing j - k; for k = 1 this is the classical chain
-/// through the copies with one wrap-around token), so analyzing the
-/// expansion with maximum-cycle-ratio techniques reproduces the
-/// state-space result for any limit, including finite limits > 1.
-/// @param timed the SDF graph with one execution time per actor
-/// @return the HSDF graph plus the copy-to-original mapping
-/// @throws AnalysisError when the graph is inconsistent
-[[nodiscard]] HsdfExpansion toHsdf(const TimedGraph& timed);
 
 }  // namespace mamps::sdf

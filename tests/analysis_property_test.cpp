@@ -15,7 +15,7 @@
 #include "analysis/incremental.hpp"
 #include "analysis/mcm.hpp"
 #include "analysis/throughput.hpp"
-#include "sdf/hsdf.hpp"
+#include "hsdf_oracle.hpp"
 #include "sdf/repetition_vector.hpp"
 #include "test_util.hpp"
 
@@ -123,10 +123,10 @@ TEST_P(RandomGraphProperty, StateSpaceThroughputMatchesMcrOnHsdf) {
   ThroughputOptions stateSpace;
   stateSpace.engine = ThroughputEngine::StateSpace;
   const auto viaStateSpace = computeThroughput(bounded, stateSpace);
-  const auto viaMcr = throughputViaMcr(bounded);
+  const auto viaMcr = computeThroughputMcr(bounded);
   ASSERT_TRUE(viaStateSpace.ok());
-  ASSERT_TRUE(viaMcr.has_value());
-  EXPECT_EQ(viaStateSpace.iterationsPerCycle, *viaMcr)
+  ASSERT_TRUE(viaMcr.ok());
+  EXPECT_EQ(viaStateSpace.iterationsPerCycle, viaMcr.iterationsPerCycle)
       << "state-space and MCR throughput disagree (seed " << GetParam() << ")";
 }
 
@@ -282,9 +282,9 @@ TEST_P(RandomGraphProperty, IncrementalMatchesFromScratchUnderSchedules) {
 }
 
 TEST_P(RandomGraphProperty, ConcurrencyLimitedEnginesAgree) {
-  // Finite self-concurrency limits > 1 took the state-space engine
-  // before the virtual-self-edge encoding landed in toHsdf; pin the
-  // engines against each other under random limits.
+  // Finite self-concurrency limits > 1 are encoded by the HSDF
+  // expansion as virtual k-token self-edges; pin the engines against
+  // each other under random limits.
   Rng rng = makeRng(12000);
   test::RandomGraphOptions opt;
   opt.maxActors = 4;
@@ -356,9 +356,9 @@ TEST_P(RandomGraphProperty, HowardMatchesBruteForceOnRandomHsdf) {
   opt.maxQ = 3;
   const Graph g = test::randomConsistentGraph(rng, opt);
   const TimedGraph timed{g, test::randomExecTimes(rng, g)};
-  const auto expansion = sdf::toHsdf(timed);
-  const auto howard = maxCycleRatioHoward(expansion.hsdf);
-  const auto brute = maxCycleRatioBruteForce(expansion.hsdf);
+  const auto expansion = test::toHsdf(timed);
+  const auto howard = test::maxCycleRatioHoward(expansion.hsdf);
+  const auto brute = test::maxCycleRatioBruteForce(expansion.hsdf);
   ASSERT_EQ(howard.status, brute.status);
   if (howard.ok()) {
     EXPECT_EQ(howard.ratio, brute.ratio) << "seed " << GetParam();
@@ -380,14 +380,14 @@ TEST_P(RandomGraphProperty, BoundedThroughputNeverExceedsUnbounded) {
   const Graph g = test::randomConsistentGraph(rng, opt);
   const TimedGraph timed{g, test::randomExecTimes(rng, g)};
   // Unbounded-buffer ceiling via MCR (handles non-strongly-bounded graphs).
-  const auto unbounded = throughputViaMcr(timed);
-  ASSERT_TRUE(unbounded.has_value());
+  const auto unbounded = computeThroughputMcr(timed);
+  ASSERT_TRUE(unbounded.ok());
 
   auto capacities = minimalDeadlockFreeCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   const auto bounded = computeThroughput(withCapacities(timed, *capacities));
   ASSERT_TRUE(bounded.ok());
-  EXPECT_LE(bounded.iterationsPerCycle, *unbounded);
+  EXPECT_LE(bounded.iterationsPerCycle, unbounded.iterationsPerCycle);
 }
 
 TEST_P(RandomGraphProperty, ThroughputMonotoneUnderCapacityGrowth) {

@@ -1,11 +1,15 @@
-// Unit tests for throughput, cycle-ratio, and buffer-sizing analyses.
+// Unit tests for throughput, cycle-ratio, and buffer-capacity analyses.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "analysis/buffer.hpp"
 #include "analysis/incremental.hpp"
 #include "analysis/mcm.hpp"
 #include "analysis/throughput.hpp"
-#include "sdf/hsdf.hpp"
+#include "hsdf_oracle.hpp"
 #include "sdf/repetition_vector.hpp"
 #include "test_util.hpp"
 
@@ -127,7 +131,9 @@ TEST(ThroughputTest, Figure2WithCapacitiesMatchesMcr) {
   const TimedGraph bounded = withCapacities(timed, *capacities);
   const auto result = computeThroughput(bounded);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.iterationsPerCycle, throughputViaMcr(bounded).value());
+  const auto mcr = computeThroughputMcr(bounded);
+  ASSERT_TRUE(mcr.ok());
+  EXPECT_EQ(result.iterationsPerCycle, mcr.iterationsPerCycle);
 }
 
 TEST(ThroughputTest, MultiRatePipelineMatchesHandComputation) {
@@ -196,11 +202,67 @@ TEST(ThroughputTest, ExecTimeSizeMismatchThrows) {
   EXPECT_THROW((void)computeThroughput(timed), AnalysisError);
 }
 
+// ---------------------------------------------------------------- Overflow
+
+/// a -> b without tokens, b -> a with one token, WCET(b) = 1: the
+/// period is WCET(a) + 1.
+TimedGraph twoActorCycle(std::uint64_t wcetA) {
+  Graph g;
+  const auto a = g.addActor("a");
+  const auto b = g.addActor("b");
+  g.connect(a, 1, b, 1);
+  g.connect(b, 1, a, 1, 1);
+  return TimedGraph{std::move(g), {wcetA, 1}};
+}
+
+constexpr ThroughputEngine kExactEngines[] = {ThroughputEngine::Mcr,
+                                              ThroughputEngine::StateSpace};
+
+TEST(OverflowTest, HugeExecutionTimesThrowInsteadOfWrapping) {
+  // 2^63 - 1 fits the expansion's int64 weights but not the cycle sum.
+  for (const std::uint64_t wcet : {(std::uint64_t{1} << 63) - 1, (std::uint64_t{1} << 63) + 1,
+                                   std::numeric_limits<std::uint64_t>::max() - 4}) {
+    for (const ThroughputEngine engine : kExactEngines) {
+      ThroughputOptions options;
+      options.engine = engine;
+      EXPECT_THROW((void)computeThroughput(twoActorCycle(wcet), options), AnalysisError)
+          << "wcet " << wcet << " engine " << throughputEngineName(engine);
+    }
+  }
+}
+
+TEST(OverflowTest, LargeExecutionTimesStayExact) {
+  constexpr std::int64_t kWcet = std::int64_t{1} << 62;
+  for (const ThroughputEngine engine : kExactEngines) {
+    ThroughputOptions options;
+    options.engine = engine;
+    const auto result = computeThroughput(twoActorCycle(std::uint64_t{kWcet}), options);
+    ASSERT_TRUE(result.ok()) << throughputEngineName(engine);
+    EXPECT_EQ(result.iterationsPerCycle, Rational(1, kWcet + 1)) << throughputEngineName(engine);
+  }
+}
+
+TEST(OverflowTest, SolverRejectsMagnitudesPastItsBound) {
+  // One self-loop: W = L = w and D = d, accepted iff 2 * w * d^2 < 2^124.
+  const auto selfLoop = [](std::int64_t weight, std::int64_t delay) {
+    CycleRatioEdge e;
+    e.weight = weight;
+    e.delay = delay;
+    return std::vector<CycleRatioEdge>{e};
+  };
+  CycleRatioSolver solver;
+  const auto below = solver.solve(1, selfLoop(std::int64_t{1} << 40, std::int64_t{1} << 41));
+  ASSERT_TRUE(below.ok());
+  EXPECT_EQ(below.ratio, Rational(1, 2));
+  EXPECT_THROW((void)solver.solve(1, selfLoop(std::int64_t{1} << 41, std::int64_t{1} << 41)),
+               AnalysisError);
+}
+
 // -------------------------------------------------------------- CycleRatio
 
 TEST(CycleRatioTest, SimpleRing) {
   sdf::TimedGraph ring{test::ringGraph(3), {2, 3, 4}};
-  const auto result = maxCycleRatioHoward(ring);
+  const auto result = test::maxCycleRatioHoward(ring);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.ratio, Rational(9));  // (2+3+4)/1 token
 }
@@ -217,7 +279,7 @@ TEST(CycleRatioTest, PicksHeaviestCycle) {
   g.connect(a, 1, c, 1);
   g.connect(c, 1, a, 1, 2);
   sdf::TimedGraph timed{std::move(g), {2, 3, 9}};
-  const auto result = maxCycleRatioHoward(timed);
+  const auto result = test::maxCycleRatioHoward(timed);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.ratio, Rational(11, 2));
 
@@ -241,8 +303,8 @@ TEST(CycleRatioTest, PicksHeaviestCycle) {
       two.connect(hd, 1, la, 1);
     }
     const sdf::TimedGraph split{std::move(two), {1, 1, 5, 4}};
-    const auto howard = maxCycleRatioHoward(split);
-    const auto brute = maxCycleRatioBruteForce(split);
+    const auto howard = test::maxCycleRatioHoward(split);
+    const auto brute = test::maxCycleRatioBruteForce(split);
     ASSERT_TRUE(howard.ok()) << "lowFeedsHigh " << lowFeedsHigh;
     ASSERT_TRUE(brute.ok()) << "lowFeedsHigh " << lowFeedsHigh;
     EXPECT_EQ(howard.ratio, brute.ratio) << "lowFeedsHigh " << lowFeedsHigh;
@@ -257,8 +319,8 @@ TEST(CycleRatioTest, DetectsDeadlockCycle) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1);  // zero tokens on the whole cycle
   sdf::TimedGraph timed{std::move(g), {1, 1}};
-  EXPECT_EQ(maxCycleRatioHoward(timed).status, CycleRatioResult::Status::Deadlock);
-  EXPECT_EQ(maxCycleRatioBruteForce(timed).status, CycleRatioResult::Status::Deadlock);
+  EXPECT_EQ(test::maxCycleRatioHoward(timed).status, CycleRatioResult::Status::Deadlock);
+  EXPECT_EQ(test::maxCycleRatioBruteForce(timed).status, CycleRatioResult::Status::Deadlock);
 }
 
 TEST(CycleRatioTest, AcyclicGraph) {
@@ -267,21 +329,21 @@ TEST(CycleRatioTest, AcyclicGraph) {
   const auto b = g.addActor("b");
   g.connect(a, 1, b, 1);
   sdf::TimedGraph timed{std::move(g), {1, 1}};
-  EXPECT_EQ(maxCycleRatioHoward(timed).status, CycleRatioResult::Status::Acyclic);
-  EXPECT_EQ(maxCycleRatioBruteForce(timed).status, CycleRatioResult::Status::Acyclic);
+  EXPECT_EQ(test::maxCycleRatioHoward(timed).status, CycleRatioResult::Status::Acyclic);
+  EXPECT_EQ(test::maxCycleRatioBruteForce(timed).status, CycleRatioResult::Status::Acyclic);
 }
 
 TEST(CycleRatioTest, RejectsMultiRateGraphs) {
   sdf::TimedGraph timed{test::pipelineGraph(2, 1), {1, 1}};
-  EXPECT_THROW((void)maxCycleRatioHoward(timed), AnalysisError);
-  EXPECT_THROW((void)maxCycleRatioBruteForce(timed), AnalysisError);
+  EXPECT_THROW((void)test::maxCycleRatioHoward(timed), AnalysisError);
+  EXPECT_THROW((void)test::maxCycleRatioBruteForce(timed), AnalysisError);
 }
 
 TEST(CycleRatioTest, HowardMatchesBruteForceOnKnownGraph) {
   sdf::TimedGraph timed{test::figure2Graph(), {5, 3, 2}};
-  const auto expansion = sdf::toHsdf(timed);
-  const auto howard = maxCycleRatioHoward(expansion.hsdf);
-  const auto brute = maxCycleRatioBruteForce(expansion.hsdf);
+  const auto expansion = test::toHsdf(timed);
+  const auto howard = test::maxCycleRatioHoward(expansion.hsdf);
+  const auto brute = test::maxCycleRatioBruteForce(expansion.hsdf);
   ASSERT_TRUE(howard.ok());
   ASSERT_TRUE(brute.ok());
   EXPECT_EQ(howard.ratio, brute.ratio);
@@ -290,12 +352,12 @@ TEST(CycleRatioTest, HowardMatchesBruteForceOnKnownGraph) {
 TEST(CycleRatioTest, ThroughputViaMcrMatchesStateSpace) {
   // A strongly connected graph recurs without extra capacities.
   const sdf::TimedGraph timed{test::ringGraph(4), {2, 5, 3, 7}};
-  const auto mcr = throughputViaMcr(timed);
+  const auto mcr = computeThroughputMcr(timed);
   const auto ss = computeThroughput(timed);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, Rational(1, 17));
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, Rational(1, 17));
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
 }
 
 TEST(CycleRatioTest, ThroughputViaMcrDetectsDeadlock) {
@@ -305,7 +367,7 @@ TEST(CycleRatioTest, ThroughputViaMcrDetectsDeadlock) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1);
   const sdf::TimedGraph timed{std::move(g), {1, 1}};
-  EXPECT_FALSE(throughputViaMcr(timed).has_value());
+  EXPECT_EQ(computeThroughputMcr(timed).status, ThroughputResult::Status::Deadlock);
 }
 
 // ----------------------------------------------------------- UnifiedEngine
@@ -444,7 +506,9 @@ TEST(EngineDispatchTest, PrefixPruningKeepsResultExact) {
   pruned.maxStoredStates = 4;  // clamped to the internal minimum of 16
   const auto result = computeThroughput(timed, pruned);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.iterationsPerCycle, throughputViaMcr(timed).value());
+  const auto mcr = computeThroughputMcr(timed);
+  ASSERT_TRUE(mcr.ok());
+  EXPECT_EQ(result.iterationsPerCycle, mcr.iterationsPerCycle);
 }
 
 // ----------------------------------------------------------- HsdfEdgeCases
@@ -458,14 +522,14 @@ TEST(HsdfEdgeCaseTest, SelfLoopWithExcessTokens) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1, 3, "ring");  // 3 tokens > consRate 1
   const TimedGraph timed{std::move(g), {4, 6}};
-  const auto mcr = throughputViaMcr(timed);
+  const auto mcr = computeThroughputMcr(timed);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
-  EXPECT_EQ(*mcr, Rational(1, 6));  // enough tokens: the slower actor dominates
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, Rational(1, 6));  // enough tokens: the slower actor dominates
 }
 
 TEST(HsdfEdgeCaseTest, MultiRateChainWithLargeRepetitionVector) {
@@ -502,13 +566,13 @@ TEST(HsdfEdgeCaseTest, InitialTokensExceedingConsumptionRate) {
   g.connect(a, 2, b, 3, 7, "ab");  // 7 initial tokens, cons 3
   g.connect(b, 3, a, 2, 0, "ba");  // mirrored rates keep q = [3, 2]
   const TimedGraph timed{std::move(g), {5, 4}};
-  const auto mcr = throughputViaMcr(timed);
+  const auto mcr = computeThroughputMcr(timed);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
 }
 
 TEST(HsdfEdgeCaseTest, PureSelfLoopActor) {
@@ -517,14 +581,14 @@ TEST(HsdfEdgeCaseTest, PureSelfLoopActor) {
   const auto a = g.addActor("a");
   g.connect(a, 2, a, 2, 4, "self");
   const TimedGraph timed{std::move(g), {9}};
-  const auto mcr = throughputViaMcr(timed);
+  const auto mcr = computeThroughputMcr(timed);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
-  ASSERT_TRUE(mcr.has_value());
+  ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(*mcr, ss.iterationsPerCycle);
-  EXPECT_EQ(*mcr, Rational(1, 9));  // serialized by the seq constraint
+  EXPECT_EQ(mcr.iterationsPerCycle, ss.iterationsPerCycle);
+  EXPECT_EQ(mcr.iterationsPerCycle, Rational(1, 9));  // serialized by the seq constraint
 }
 
 // ------------------------------------------------------------------ Buffer
@@ -648,35 +712,6 @@ TEST(BufferTest, DeadlockedGraphHasNoCapacities) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1);
   EXPECT_FALSE(minimalDeadlockFreeCapacities(g).has_value());
-}
-
-TEST(BufferTest, SizingReachesUnboundedThroughput) {
-  Graph g = test::pipelineGraph(1, 1);
-  const TimedGraph timed{std::move(g), {4, 4}};
-  const auto unbounded = computeThroughput(timed);
-  ASSERT_TRUE(unbounded.ok());
-  const auto sized = sizeBuffersForThroughput(timed, unbounded.iterationsPerCycle);
-  ASSERT_TRUE(sized.has_value());
-  EXPECT_GE(sized->achievedThroughput, unbounded.iterationsPerCycle);
-  EXPECT_GT(sized->totalBytes, 0u);
-}
-
-TEST(BufferTest, SizingTreatsUnboundedThroughputAsMeetingAnyTarget) {
-  // Every cycle has zero total execution time: the graph fires
-  // infinitely fast, so any finite target is met by the minimal
-  // deadlock-free distribution (regression: this used to be reported
-  // as "target unreachable").
-  Graph g = test::pipelineGraph(1, 1);
-  const TimedGraph timed{std::move(g), {0, 0}};
-  const auto sized = sizeBuffersForThroughput(timed, Rational(5));
-  ASSERT_TRUE(sized.has_value());
-  EXPECT_GE(sized->achievedThroughput, Rational(5));
-}
-
-TEST(BufferTest, SizingFailsForImpossibleTarget) {
-  Graph g = test::pipelineGraph(1, 1);
-  const TimedGraph timed{std::move(g), {4, 4}};
-  EXPECT_FALSE(sizeBuffersForThroughput(timed, Rational(1, 2)).has_value());
 }
 
 TEST(BufferTest, ThroughputIsMonotoneInCapacity) {

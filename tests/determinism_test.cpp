@@ -4,9 +4,9 @@
 // computes the same quantity twice with a perturbed input ordering
 // (edge order, channel insertion order, token-update order, cache
 // eviction pressure) and requires bit-identical results. These pin the
-// audited sites: the MCR parallel-edge collapse (mcm.cpp,
-// incremental.cpp), the state-space representative-channel selection
-// (throughput.cpp), and the admission plan cache (admission.hpp).
+// audited sites: the cycle-ratio solver's edge table (mcm.cpp,
+// incremental.cpp), the state-space store (throughput.cpp), and the
+// admission plan cache (admission.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,8 +124,8 @@ TEST(DeterminismTest, StateSpaceThroughputIsChannelInsertionOrderInvariant) {
       EXPECT_EQ(got.iterationsPerCycle, expected.iterationsPerCycle)
           << "seed " << seed << " perm " << perm;
       // The explored state sequence is a relabelling of the original:
-      // the representative-channel selection must not leak layout into
-      // the verdict.
+      // channel order only permutes the words of each state key, so
+      // the recurrence is found at the same step.
       EXPECT_EQ(got.statesExplored, expected.statesExplored)
           << "seed " << seed << " perm " << perm;
       EXPECT_EQ(got.periodCycles, expected.periodCycles) << "seed " << seed << " perm " << perm;

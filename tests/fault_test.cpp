@@ -322,6 +322,104 @@ TEST(FaultAdmissionTest, SingleTileFailureEvacuatesAndRecovers) {
             controller.stats().recovered + controller.stats().degradedClients);
 }
 
+/// Admit each application of `workload` once (a rejection on the shared
+/// platform is a legitimate outcome).
+void admitEach(AdmissionController& controller, const suite::ChurnWorkload& workload) {
+  for (std::size_t app = 0; app < workload.caches.size(); ++app) {
+    (void)controller.admit(workload.caches[app], workload.options[app]);
+  }
+}
+
+/// The residents whose ledger satisfies `uses`, ascending.
+template <typename Uses>
+std::vector<ClientId> residentsWhere(const AdmissionController& controller, Uses uses) {
+  std::vector<ClientId> out;
+  for (const ClientId client : controller.residentIds()) {
+    const platform::ClientLedger* ledger = controller.budget().ledger(client);
+    if (ledger != nullptr && uses(*ledger)) {
+      out.push_back(client);
+    }
+  }
+  return out;
+}
+
+/// Inject `fault`, whose resource exactly the residents `users` hold,
+/// then check the recovery contract and that repair plus a full drain
+/// restores the pristine budget.
+void expectStrandsExactlyAndRecovers(AdmissionController& controller, const FaultEvent& fault,
+                                     const std::vector<ClientId>& users) {
+  ASSERT_FALSE(users.empty());
+  const RecoveryReport report = controller.injectFault(fault);
+  EXPECT_EQ(report.stranded, users);
+  for (const ClientId client : report.stranded) {
+    const RecoveryOutcome verdict = report.verdicts.at(client);
+    EXPECT_TRUE(verdict == RecoveryOutcome::Recovered || verdict == RecoveryOutcome::Degraded)
+        << "client " << client;
+  }
+  EXPECT_TRUE(controller.budget().strandedClients().empty());
+  for (const ClientId client : report.recovered) {
+    EXPECT_TRUE(controller.resident(client).meetsConstraint) << "client " << client;
+  }
+
+  controller.repair(fault);
+  for (const ClientId client : controller.residentIds()) {
+    controller.depart(client);
+  }
+  EXPECT_TRUE(controller.pristine());
+}
+
+TEST(FaultAdmissionTest, NocLinkFailureStrandsExactlyTheWireHolders) {
+  const auto arch = platform::generateFromTemplate(platform::largeMeshPreset(12));
+  AdmissionController controller(arch);
+  admitEach(controller, sharedWorkload());
+
+  const auto holders = residentsWhere(
+      controller, [](const platform::ClientLedger& l) { return !l.wires.empty(); });
+  ASSERT_FALSE(holders.empty());
+  const platform::LinkId link = controller.budget().ledger(holders.front())->wires.begin()->first;
+  expectStrandsExactlyAndRecovers(
+      controller, FaultEvent::nocLinkFailure(link),
+      residentsWhere(controller,
+                     [&](const platform::ClientLedger& l) { return l.wires.count(link) != 0; }));
+}
+
+TEST(FaultAdmissionTest, FslLinkFailureStrandsExactlyTheLinkHolder) {
+  const auto arch = platform::generateFromTemplate(platform::heterogeneousPreset(4, {"accel"}));
+  AdmissionController controller(arch);
+  admitEach(controller, sharedWorkload());
+
+  const auto holders = residentsWhere(
+      controller, [](const platform::ClientLedger& l) { return !l.fslLinks.empty(); });
+  ASSERT_FALSE(holders.empty());
+  const std::uint32_t index = controller.budget().ledger(holders.front())->fslLinks.front();
+  expectStrandsExactlyAndRecovers(
+      controller, FaultEvent::fslLinkFailure(index),
+      residentsWhere(controller, [&](const platform::ClientLedger& l) {
+        return std::find(l.fslLinks.begin(), l.fslLinks.end(), index) != l.fslLinks.end();
+      }));
+}
+
+TEST(FaultAdmissionTest, TdmDegradeStrandsEveryHolderOfTheOvercommittedWheel) {
+  const suite::ChurnWorkload workload = suite::suiteTdmChurnWorkload(4, 2);
+  const auto arch =
+      platform::generateFromTemplate(platform::withTdm(platform::largeMeshPreset(12), 4, 200));
+  AdmissionController controller(arch);
+  admitEach(controller, workload);
+
+  const auto holders = residentsWhere(
+      controller, [](const platform::ClientLedger& l) { return !l.tiles.empty(); });
+  ASSERT_FALSE(holders.empty());
+  const TileId tile = controller.budget().ledger(holders.front())->tiles.begin()->first;
+  // Every application holds 2 slots per claimed tile, so a 1-slot wheel
+  // no longer fits the tile's commitments and strands all its holders.
+  expectStrandsExactlyAndRecovers(
+      controller, FaultEvent::tdmDegrade(tile, TdmConfig{1, 200}),
+      residentsWhere(controller, [&](const platform::ClientLedger& l) {
+        const auto share = l.tiles.find(tile);
+        return share != l.tiles.end() && share->second.slots > 0;
+      }));
+}
+
 // Regression (pre-fix failure): replayAdmission re-committed a recorded
 // plan without re-validating resource liveness. With the plan cache
 // keyed only by the reservation signature, "admit -> depart -> fail

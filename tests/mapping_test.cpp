@@ -312,6 +312,21 @@ TEST(FlowTest, ThroughputConstraintSatisfactionReported) {
   EXPECT_FALSE(bad->meetsConstraint);
 }
 
+TEST(FlowTest, BufferGrowthThatWouldWrapThrows) {
+  // The constraint is out of reach on one tile, so every round doubles
+  // the capacity; 63 rounds would wrap it to 0 and report a negative
+  // throughput.
+  sdf::ApplicationModel app = test::makeAppModel(test::pipelineGraph(1, 1, 1), {100, 100});
+  app.setThroughputConstraint(Rational(1, 2));
+  const Architecture arch = makeArch(1, InterconnectKind::Fsl);
+  for (const bool incremental : {true, false}) {
+    MappingOptions options;
+    options.bufferGrowthRounds = 63;
+    options.incrementalAnalysis = incremental;
+    EXPECT_THROW((void)mapApplication(app, arch, options), Error) << "incremental " << incremental;
+  }
+}
+
 TEST(FlowTest, MoreTilesDoNotHurtThroughput) {
   const ApplicationModel app = test::makeAppModel(test::figure2Graph(), {500, 800, 400});
   const auto one = mapApplication(app, makeArch(1, InterconnectKind::Fsl), {});

@@ -1,16 +1,15 @@
 // Property wall for the flat-data analysis core: every performance
-// mechanism — the flat HSDF expansion, the flat state-space store,
-// Howard warm starts within and across design points, the incremental
-// mapping pipeline, and the parallel DSE sweep — must be
-// *result-invisible*. Each test sweeps 125 random seeds and requires
-// bit-identical ThroughputResults (rational, schedules, buffers,
-// statesExplored) between the optimized path and a reference path: the
-// legacy sdf::toHsdf expansion, a cold solver, a rerun, or the
-// from-scratch mapping pipeline (MappingOptions::incrementalAnalysis
-// off). Per the contract in analysis/throughput.hpp, the comparison
-// covers every field *except* the wall-clock phase counters
-// (expansionNanos/solveNanos/storeNanos), which are measurements, not
-// results.
+// mechanism — the flat HSDF expansion, Howard warm starts within and
+// across design points, the incremental mapping pipeline, and the
+// parallel DSE sweep — must be *result-invisible*. Each test sweeps 125
+// random seeds and requires bit-identical ThroughputResults (rational,
+// schedules, buffers, statesExplored) between the optimized path and a
+// reference path: the graph-materializing expansion and cold solver of
+// tests/hsdf_oracle.hpp, a cold solver, or the from-scratch mapping
+// pipeline (MappingOptions::incrementalAnalysis off). Per the contract
+// in analysis/throughput.hpp, the comparison covers every field
+// *except* the wall-clock phase counters (expansionNanos/solveNanos),
+// which are measurements, not results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,8 +21,8 @@
 #include "analysis/throughput.hpp"
 #include "mapping/dse.hpp"
 #include "mapping/flow.hpp"
+#include "hsdf_oracle.hpp"
 #include "platform/arch_template.hpp"
-#include "sdf/hsdf.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 
@@ -52,11 +51,11 @@ TEST(PerfWall, FlatExpansionMatchesLegacyHsdfExpansion) {
 
     const ThroughputResult flat = computeThroughputMcr(timed);
 
-    // Reference: the copy-out expansion (sdf/hsdf.cpp) feeding a cold
-    // solver — the pre-flat pipeline, still used by throughputViaMcr.
-    const sdf::HsdfExpansion legacy = sdf::toHsdf(timed);
+    // Reference: the graph-materializing expansion with collapsed
+    // parallel edges feeding a cold solver.
+    const test::HsdfExpansion legacy = test::toHsdf(timed);
     ASSERT_EQ(flat.hsdfActors, legacy.hsdf.graph.actorCount()) << "seed " << seed;
-    const CycleRatioResult ref = maxCycleRatioHoward(legacy.hsdf);
+    const CycleRatioResult ref = test::maxCycleRatioHoward(legacy.hsdf);
     switch (ref.status) {
       case CycleRatioResult::Status::Ok:
         ASSERT_EQ(flat.status, ThroughputResult::Status::Ok) << "seed " << seed;
@@ -101,21 +100,6 @@ TEST(PerfWall, WarmStartIsResultIdentical) {
     expectSameResult(warm.compute(), cold, seed, "warm-started first");
     expectSameResult(warm.compute(), cold, seed, "warm-started second");
     warm.exportWarmStart(chained);
-  }
-}
-
-TEST(PerfWall, StateSpaceFlatStoreIsRepeatableAndOrderInvariant) {
-  ThroughputOptions options;
-  options.engine = ThroughputEngine::StateSpace;
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(seed + 2000);
-    const sdf::Graph g = test::randomConsistentGraph(rng);
-    const sdf::TimedGraph timed{g, test::randomExecTimes(rng, g)};
-    const ThroughputResult first = computeThroughput(timed, options);
-    // The open-addressing store resolves membership by exact key
-    // equality (the hash only picks a probe start), so repeated runs
-    // must agree on every field including statesExplored.
-    expectSameResult(computeThroughput(timed, options), first, seed, "state-space rerun");
   }
 }
 

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "sdf/app_model.hpp"
+#include "hsdf_oracle.hpp"
 #include "sdf/graph.hpp"
-#include "sdf/hsdf.hpp"
 #include "sdf/io.hpp"
 #include "sdf/repetition_vector.hpp"
 #include "test_util.hpp"
@@ -233,7 +233,7 @@ TEST(DeadlockTest, MultiRateCycleNeedsEnoughTokens) {
 
 TEST(HsdfTest, ActorCountsMatchRepetitionVector) {
   TimedGraph timed{test::figure2Graph(), {5, 3, 2}};
-  const HsdfExpansion expansion = toHsdf(timed);
+  const test::HsdfExpansion expansion = test::toHsdf(timed);
   // q = [1, 2, 1] -> 4 HSDF actors.
   EXPECT_EQ(expansion.hsdf.graph.actorCount(), 4u);
   EXPECT_EQ(expansion.originalActor.size(), 4u);
@@ -242,7 +242,7 @@ TEST(HsdfTest, ActorCountsMatchRepetitionVector) {
 
 TEST(HsdfTest, AllRatesAreOne) {
   TimedGraph timed{test::figure2Graph(), {5, 3, 2}};
-  const HsdfExpansion expansion = toHsdf(timed);
+  const test::HsdfExpansion expansion = test::toHsdf(timed);
   for (const Channel& c : expansion.hsdf.graph.channels()) {
     EXPECT_EQ(c.prodRate, 1u);
     EXPECT_EQ(c.consRate, 1u);
@@ -251,7 +251,7 @@ TEST(HsdfTest, AllRatesAreOne) {
 
 TEST(HsdfTest, ExecTimesCarriedOver) {
   TimedGraph timed{test::figure2Graph(), {5, 3, 2}};
-  const HsdfExpansion expansion = toHsdf(timed);
+  const test::HsdfExpansion expansion = test::toHsdf(timed);
   for (std::size_t i = 0; i < expansion.hsdf.graph.actorCount(); ++i) {
     EXPECT_EQ(expansion.hsdf.execTime[i], timed.execTime[expansion.originalActor[i]]);
   }
@@ -259,7 +259,7 @@ TEST(HsdfTest, ExecTimesCarriedOver) {
 
 TEST(HsdfTest, HsdfOfHomogeneousGraphKeepsStructure) {
   TimedGraph timed{test::ringGraph(3), {1, 1, 1}};
-  const HsdfExpansion expansion = toHsdf(timed);
+  const test::HsdfExpansion expansion = test::toHsdf(timed);
   EXPECT_EQ(expansion.hsdf.graph.actorCount(), 3u);
   // Original 3 channels + 3 no-auto-concurrency self-edges.
   EXPECT_EQ(expansion.hsdf.graph.channelCount(), 6u);
@@ -272,12 +272,12 @@ TEST(HsdfTest, InconsistentGraphThrows) {
   g.connect(a, 2, b, 1);
   g.connect(a, 1, b, 1);
   TimedGraph timed{std::move(g), {1, 1}};
-  EXPECT_THROW(toHsdf(timed), AnalysisError);
+  EXPECT_THROW(test::toHsdf(timed), AnalysisError);
 }
 
 TEST(HsdfTest, HsdfIsConsistentAndLiveForLiveInput) {
   TimedGraph timed{test::figure2Graph(), {5, 3, 2}};
-  const HsdfExpansion expansion = toHsdf(timed);
+  const test::HsdfExpansion expansion = test::toHsdf(timed);
   EXPECT_TRUE(isConsistent(expansion.hsdf.graph));
   EXPECT_TRUE(isDeadlockFree(expansion.hsdf.graph));
 }
