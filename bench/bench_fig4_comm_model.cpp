@@ -80,7 +80,7 @@ int main() {
   for (const std::uint32_t wires : {32u, 16u, 8u, 4u, 2u, 1u}) {
     comm::CommModelParams p = baseParams();
     p.wordsInFlight = 8;
-    p.cyclesPerWord = platform::WireAllocator::cyclesPerWord(wires);
+    p.cyclesPerWord = platform::cyclesPerWord(wires);
     std::printf("%-6u %12llu %18.4f\n", wires,
                 static_cast<unsigned long long>(p.cyclesPerWord), throughputWith(p) * 1e3);
   }

@@ -31,7 +31,7 @@ int main() {
       std::printf("%-7u %12s %16s\n", wires, "-", "infeasible");
       continue;
     }
-    std::printf("%-7u %12u %16.4f\n", wires, platform::WireAllocator::cyclesPerWord(wires),
+    std::printf("%-7u %12u %16.4f\n", wires, platform::cyclesPerWord(wires),
                 result->throughput.iterationsPerCycle.toDouble() * 1e6);
   }
   std::printf("\nShape: once the connection is fast enough that the PEs dominate,\n");

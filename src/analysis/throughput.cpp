@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/mcm.hpp"
+#include "analysis/self_timed.hpp"
 #include "sdf/repetition_vector.hpp"
 #include "support/timer.hpp"
 
@@ -15,7 +16,6 @@ namespace {
 
 using sdf::ActorId;
 using sdf::Channel;
-using sdf::ChannelId;
 using sdf::Graph;
 
 /// Canonicalised quiescent-state key: per-channel token counts,
@@ -30,288 +30,131 @@ struct Visit {
   std::uint64_t step = 0;
 };
 
-class Simulator {
- public:
-  Simulator(const sdf::TimedGraph& timed, const ThroughputOptions& options,
-            const ResourceConstraints* resources)
-      : graph_(timed.graph),
-        execTime_(timed.execTime),
-        concurrency_(timed.maxConcurrent),
-        options_(options),
-        resources_(resources) {
-    tokens_.resize(graph_.channelCount());
-    for (ChannelId c = 0; c < graph_.channelCount(); ++c) {
-      tokens_[c] = graph_.channel(c).initialTokens;
-    }
-    remaining_.resize(graph_.actorCount());
-    if (resources_ != nullptr) {
-      schedulePos_.resize(resources_->staticOrder.size(), 0);
-      resourceBusy_.resize(resources_->staticOrder.size(), 0);
-    }
+StateKey encodeState(const SelfTimedExecution& execution) {
+  const auto& tokens = execution.tokens();
+  const auto& positions = execution.schedulePositions();
+  StateKey key;
+  key.reserve(tokens.size() + 2 * execution.remaining().size() + positions.size());
+  key.assign(tokens.begin(), tokens.end());
+  for (const auto& r : execution.remaining()) {
+    key.push_back(r.size());
+    key.insert(key.end(), r.begin(), r.end());
   }
+  key.insert(key.end(), positions.begin(), positions.end());
+  return key;
+}
 
-  ThroughputResult run() {
-    std::uint64_t solveNanos = 0;
-    ThroughputResult result;
-    {
-      support::ScopedTimer timer(solveNanos);
-      result = runImpl();
-    }
-    result.solveNanos = solveNanos;
+/// The state-space engine: run the self-timed execution quiescent point
+/// by quiescent point until a state recurs.
+ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
+                                   const ResourceConstraints* resources,
+                                   const ThroughputOptions& options) {
+  const Graph& graph = timed.graph;
+  ThroughputResult result;
+  result.engine = ThroughputEngine::StateSpace;
+  const auto qOpt = sdf::computeRepetitionVector(graph);
+  if (!qOpt) {
+    result.status = ThroughputResult::Status::Inconsistent;
     return result;
   }
+  if (graph.actorCount() == 0) {
+    result.status = ThroughputResult::Status::Deadlock;
+    return result;
+  }
+  // Iterations are counted in completions of actor 0.
+  const std::uint64_t qRef = (*qOpt)[0];
 
- private:
-  ThroughputResult runImpl() {
-    ThroughputResult result;
-    result.engine = ThroughputEngine::StateSpace;
-    const auto qOpt = sdf::computeRepetitionVector(graph_);
-    if (!qOpt) {
-      result.status = ThroughputResult::Status::Inconsistent;
+  // Divergence guard: self-timed execution of a graph that is not
+  // strongly bounded (e.g. a fast producer feeding an unbounded
+  // channel) accumulates tokens forever and never revisits a state.
+  // Token counts above this threshold cannot occur in a recurrent
+  // execution of a strongly-bounded graph of this size.
+  std::uint64_t initialTotal = 0;
+  std::uint64_t perIteration = 0;
+  for (const Channel& c : graph.channels()) {
+    initialTotal += c.initialTokens;
+    perIteration += (*qOpt)[c.src] * c.prodRate;
+  }
+  const std::uint64_t divergenceThreshold = initialTotal + 64 * perIteration + 4096;
+
+  SelfTimedExecution execution(timed, resources, options.autoConcurrency);
+  const auto cost = [&timed](ActorId a) { return timed.execTime[a]; };
+  const auto done = [](ActorId) {};
+  std::map<StateKey, Visit> seen;
+  std::uint64_t pruned = 0;
+  const std::uint64_t storeLimit = std::max<std::uint64_t>(options.maxStoredStates, 16);
+
+  for (std::uint64_t step = 0; step < options.maxSteps; ++step) {
+    // Quiescent point: start everything startable, complete all
+    // zero-time work (which may enable more starts).
+    if (!execution.settle(cost, done)) {
+      result.status = ThroughputResult::Status::Unbounded;
       return result;
     }
-    if (graph_.actorCount() == 0) {
+
+    std::uint64_t totalTokens = 0;
+    for (const std::uint64_t t : execution.tokens()) {
+      totalTokens += t;
+    }
+    if (totalTokens > divergenceThreshold) {
+      result.status = ThroughputResult::Status::Diverged;
+      result.statesExplored = seen.size() + pruned;
+      return result;
+    }
+
+    if (!execution.active()) {
       result.status = ThroughputResult::Status::Deadlock;
+      result.statesExplored = seen.size() + pruned;
       return result;
     }
-    const std::uint64_t qRef = (*qOpt)[kReferenceActor];
 
-    // Divergence guard: self-timed execution of a graph that is not
-    // strongly bounded (e.g. a fast producer feeding an unbounded
-    // channel) accumulates tokens forever and never revisits a state.
-    // Token counts above this threshold cannot occur in a recurrent
-    // execution of a strongly-bounded graph of this size.
-    std::uint64_t initialTotal = 0;
-    for (const Channel& c : graph_.channels()) {
-      initialTotal += c.initialTokens;
-    }
-    std::uint64_t perIteration = 0;
-    for (const Channel& c : graph_.channels()) {
-      perIteration += (*qOpt)[c.src] * c.prodRate;
-    }
-    const std::uint64_t divergenceThreshold = initialTotal + 64 * perIteration + 4096;
-
-    std::map<StateKey, Visit> seen;
-    std::uint64_t pruned = 0;
-    const std::uint64_t storeLimit = std::max<std::uint64_t>(options_.maxStoredStates, 16);
-
-    for (std::uint64_t step = 0; step < options_.maxSteps; ++step) {
-      // Quiescent point: start everything startable, complete all
-      // zero-time work (which may enable more starts).
-      if (!settleInstant()) {
+    const auto [visit, inserted] = seen.try_emplace(
+        encodeState(execution),
+        Visit{execution.now(), execution.referenceCompletions(), step});
+    if (!inserted) {
+      const Visit& prev = visit->second;
+      const std::uint64_t period = execution.now() - prev.time;
+      const std::uint64_t completions = execution.referenceCompletions() - prev.completions;
+      result.statesExplored = seen.size() + pruned;
+      result.periodCycles = period;
+      if (period == 0) {
+        // Cannot happen: time strictly advances between quiescent
+        // snapshots once zero-time work is settled.
         result.status = ThroughputResult::Status::Unbounded;
         return result;
       }
-
-      std::uint64_t totalTokens = 0;
-      for (const std::uint64_t t : tokens_) {
-        totalTokens += t;
+      std::uint64_t cycles = 0;
+      if (__builtin_mul_overflow(qRef, period, &cycles) ||
+          cycles > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+        throw AnalysisError("computeThroughput: a period of " + std::to_string(period) +
+                            " cycles times q = " + std::to_string(qRef) +
+                            " does not fit int64");
       }
-      if (totalTokens > divergenceThreshold) {
-        result.status = ThroughputResult::Status::Diverged;
-        result.statesExplored = seen.size() + pruned;
-        return result;
-      }
-
-      const bool anyOngoing = std::any_of(remaining_.begin(), remaining_.end(),
-                                          [](const auto& r) { return !r.empty(); });
-      if (!anyOngoing) {
-        result.status = ThroughputResult::Status::Deadlock;
-        result.statesExplored = seen.size() + pruned;
-        return result;
-      }
-
-      const auto [visit, inserted] =
-          seen.try_emplace(encodeState(), Visit{now_, refCompletions_, step});
-      if (!inserted) {
-        const Visit& prev = visit->second;
-        const std::uint64_t period = now_ - prev.time;
-        const std::uint64_t completions = refCompletions_ - prev.completions;
-        result.statesExplored = seen.size() + pruned;
-        result.periodCycles = period;
-        if (period == 0) {
-          // Cannot happen: time strictly advances between quiescent
-          // snapshots once zero-time work is settled.
-          result.status = ThroughputResult::Status::Unbounded;
-          return result;
-        }
-        std::uint64_t cycles = 0;
-        if (__builtin_mul_overflow(qRef, period, &cycles) ||
-            cycles > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
-          throw AnalysisError("computeThroughput: a period of " + std::to_string(period) +
-                              " cycles times q = " + std::to_string(qRef) +
-                              " does not fit int64");
-        }
-        result.status = ThroughputResult::Status::Ok;
-        result.iterationsPerCycle = Rational(static_cast<std::int64_t>(completions),
-                                             static_cast<std::int64_t>(cycles));
-        return result;
-      }
-
-      // Prefix pruning: the oldest stored states belong to the transient
-      // prefix (or to laps of the periodic phase that have younger
-      // equivalents). Dropping them keeps memory bounded; as long as the
-      // periodic phase fits in the retained window (~storeLimit/2 steps)
-      // a younger copy of a periodic state is revisited and detection
-      // still occurs. A period longer than the window ends in StepLimit —
-      // raise maxStoredStates for such graphs.
-      if (seen.size() > storeLimit) {
-        const std::uint64_t watermark = step - storeLimit / 2;
-        pruned += std::erase_if(seen,
-                                [&](const auto& entry) { return entry.second.step < watermark; });
-      }
-
-      advanceTime();
+      result.status = ThroughputResult::Status::Ok;
+      result.iterationsPerCycle = Rational(static_cast<std::int64_t>(completions),
+                                           static_cast<std::int64_t>(cycles));
+      return result;
     }
-    result.status = ThroughputResult::Status::StepLimit;
-    result.statesExplored = seen.size() + pruned;
-    return result;
+
+    // Prefix pruning: the oldest stored states belong to the transient
+    // prefix (or to laps of the periodic phase that have younger
+    // equivalents). Dropping them keeps memory bounded; as long as the
+    // periodic phase fits in the retained window (~storeLimit/2 steps)
+    // a younger copy of a periodic state is revisited and detection
+    // still occurs. A period longer than the window ends in StepLimit —
+    // raise maxStoredStates for such graphs.
+    if (seen.size() > storeLimit) {
+      const std::uint64_t watermark = step - storeLimit / 2;
+      pruned += std::erase_if(seen,
+                              [&](const auto& entry) { return entry.second.step < watermark; });
+    }
+
+    execution.advance();
   }
-
- private:
-  static constexpr ActorId kReferenceActor = 0;
-
-  [[nodiscard]] StateKey encodeState() const {
-    StateKey key;
-    key.reserve(tokens_.size() + 2 * graph_.actorCount() + schedulePos_.size());
-    key.assign(tokens_.begin(), tokens_.end());
-    for (const auto& r : remaining_) {
-      key.push_back(r.size());
-      key.insert(key.end(), r.begin(), r.end());
-    }
-    key.insert(key.end(), schedulePos_.begin(), schedulePos_.end());
-    return key;
-  }
-
-  [[nodiscard]] std::uint32_t resourceOf(ActorId a) const {
-    if (resources_ == nullptr || a >= resources_->actorResource.size()) {
-      return ResourceConstraints::kUnbound;
-    }
-    return resources_->actorResource[a];
-  }
-
-  [[nodiscard]] bool isReady(ActorId a) const {
-    if (!options_.autoConcurrency) {
-      const std::uint32_t limit = concurrency_.empty() ? 1 : concurrency_[a];
-      if (limit != 0 && remaining_[a].size() >= limit) {
-        return false;
-      }
-    }
-    const std::uint32_t res = resourceOf(a);
-    if (res != ResourceConstraints::kUnbound) {
-      // The processing element must be idle and it must be this actor's
-      // turn in the static order.
-      if (resourceBusy_[res] != 0) {
-        return false;
-      }
-      const auto& order = resources_->staticOrder[res];
-      if (order[schedulePos_[res]] != a) {
-        return false;
-      }
-    }
-    for (const ChannelId c : graph_.actor(a).inputs) {
-      if (tokens_[c] < graph_.channel(c).consRate) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void startFiring(ActorId a) {
-    for (const ChannelId c : graph_.actor(a).inputs) {
-      tokens_[c] -= graph_.channel(c).consRate;
-    }
-    auto& r = remaining_[a];
-    r.insert(std::upper_bound(r.begin(), r.end(), execTime_[a]), execTime_[a]);
-    const std::uint32_t res = resourceOf(a);
-    if (res != ResourceConstraints::kUnbound) {
-      ++resourceBusy_[res];
-      schedulePos_[res] = (schedulePos_[res] + 1) % resources_->staticOrder[res].size();
-    }
-  }
-
-  void completeFiring(ActorId a, std::size_t slot) {
-    remaining_[a].erase(remaining_[a].begin() + static_cast<std::ptrdiff_t>(slot));
-    for (const ChannelId c : graph_.actor(a).outputs) {
-      tokens_[c] += graph_.channel(c).prodRate;
-    }
-    const std::uint32_t res = resourceOf(a);
-    if (res != ResourceConstraints::kUnbound) {
-      --resourceBusy_[res];
-    }
-    if (a == kReferenceActor) {
-      ++refCompletions_;
-    }
-  }
-
-  /// Start all enabled firings and retire all zero-time firings until
-  /// the instant is stable. Returns false when a zero-delay livelock is
-  /// detected (unbounded throughput).
-  bool settleInstant() {
-    // Each retired zero-time firing and each start makes progress; a
-    // bound of firingsPerInstantCap breaks zero-delay cycles.
-    const std::uint64_t cap =
-        4096 + 64 * (graph_.actorCount() + 1) * (graph_.channelCount() + 1);
-    std::uint64_t work = 0;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (ActorId a = 0; a < graph_.actorCount(); ++a) {
-        while (isReady(a)) {
-          startFiring(a);
-          changed = true;
-          if (++work > cap) {
-            return false;
-          }
-          if (!options_.autoConcurrency) {
-            break;
-          }
-        }
-      }
-      for (ActorId a = 0; a < graph_.actorCount(); ++a) {
-        auto& r = remaining_[a];
-        while (!r.empty() && r.front() == 0) {
-          completeFiring(a, 0);
-          changed = true;
-          if (++work > cap) {
-            return false;
-          }
-        }
-      }
-    }
-    return true;
-  }
-
-  void advanceTime() {
-    std::uint64_t delta = std::numeric_limits<std::uint64_t>::max();
-    for (const auto& r : remaining_) {
-      if (!r.empty()) {
-        delta = std::min(delta, r.front());
-      }
-    }
-    if (__builtin_add_overflow(now_, delta, &now_)) {
-      throw AnalysisError("computeThroughput: state-space time exceeds 2^64 cycles");
-    }
-    for (auto& r : remaining_) {
-      for (auto& v : r) {
-        v -= delta;
-      }
-    }
-    // Zero-time completions are retired by the next settleInstant().
-  }
-
-  const Graph& graph_;
-  const std::vector<std::uint64_t>& execTime_;
-  const std::vector<std::uint32_t>& concurrency_;
-  ThroughputOptions options_;
-  const ResourceConstraints* resources_;
-  std::vector<std::uint32_t> resourceBusy_;  // ongoing firings per resource
-  std::vector<std::uint64_t> tokens_;                  // per channel
-  std::vector<std::vector<std::uint64_t>> remaining_;  // per actor, sorted
-  std::vector<std::uint32_t> schedulePos_;             // per resource
-  std::uint64_t now_ = 0;
-  std::uint64_t refCompletions_ = 0;
-};
+  result.status = ThroughputResult::Status::StepLimit;
+  result.statesExplored = seen.size() + pruned;
+  return result;
+}
 
 /// Saturating accumulate for the HSDF-size estimate.
 void saturatingAdd(std::uint64_t& total, std::uint64_t amount) {
@@ -417,8 +260,14 @@ ThroughputResult dispatch(const sdf::TimedGraph& timed, const ResourceConstraint
     }
   }
 
-  Simulator sim(timed, options, resources);
-  return sim.run();
+  std::uint64_t solveNanos = 0;
+  ThroughputResult result;
+  {
+    support::ScopedTimer timer(solveNanos);
+    result = exploreStateSpace(timed, resources, options);
+  }
+  result.solveNanos = solveNanos;
+  return result;
 }
 
 }  // namespace

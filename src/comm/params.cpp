@@ -57,7 +57,7 @@ CommModelParams nocParams(const sdf::Channel& channel, const platform::NocConfig
   p.wordsPerToken = n;
   p.serializeTime = cost.cycles(n);
   p.deserializeTime = cost.cycles(n);
-  p.cyclesPerWord = platform::WireAllocator::cyclesPerWord(wires);
+  p.cyclesPerWord = platform::cyclesPerWord(wires);
   // A connection with zero hops degenerates to a local NI loopback.
   p.latencyCycles = std::max<std::uint64_t>(1, std::uint64_t{hops} * config.hopLatencyCycles);
   // One word can sit in each router stage of the route.

@@ -99,37 +99,13 @@ void AdmissionController::storeCacheEntry(std::string key, CachedDecision memo) 
 }
 
 bool AdmissionController::violatesHeadroom(const ResourceBudget& work) const {
-  const RecoveryPolicy& policy = options_.recovery;
-  if (policy.spareTiles > 0) {
-    std::uint32_t freeTiles = 0;
-    for (TileId t = 0; t < arch_->tileCount(); ++t) {
-      if (!work.tileFailed(t) && work.tiles()[t].slotOwners.empty()) {
-        ++freeTiles;
-      }
-    }
-    if (freeTiles < policy.spareTiles) {
-      return true;
+  std::uint32_t freeTiles = 0;
+  for (TileId t = 0; t < arch_->tileCount(); ++t) {
+    if (!work.tileFailed(t) && work.tiles()[t].slotOwners.empty()) {
+      ++freeTiles;
     }
   }
-  if (policy.spareWires > 0) {
-    std::uint64_t spare = 0;
-    if (arch_->interconnect() == platform::InterconnectKind::NocMesh) {
-      const std::uint32_t capacity = arch_->noc().wiresPerLink;
-      const std::size_t links = work.nocTopology().linkCount();
-      for (platform::LinkId link = 0; link < links; ++link) {
-        if (work.faults().nocLinkFailed(link)) {
-          continue;  // a failed link's capacity is not spare
-        }
-        spare += capacity - work.usedWires(link);
-      }
-    } else {
-      spare = work.fslLinksAvailable();
-    }
-    if (spare < policy.spareWires) {
-      return true;
-    }
-  }
-  return false;
+  return freeTiles < options_.recovery.spareTiles;
 }
 
 bool AdmissionController::replayAdmission(const CachedDecision& cached,
@@ -230,7 +206,7 @@ AdmissionDecision AdmissionController::decide(const AppAnalysisCache& app,
     auto result = mapOntoBudget(app, *arch_, options, work, client);
     if (!result.has_value()) {
       decision.reason = "no feasible mapping on the residual platform";
-    } else if (options_.requireConstraint && !result->meetsConstraint) {
+    } else if (!result->meetsConstraint) {
       decision.reason = "throughput guarantee does not compose with the residents";
     } else if (headroom && violatesHeadroom(work)) {
       decision.reason = "admission would cut into the recovery headroom";

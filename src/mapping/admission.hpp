@@ -46,12 +46,12 @@
 // verdict: Recovered (re-admitted with a fresh composable guarantee),
 // Degraded (evacuated but rejected by the residual — the client is
 // gone), or Untouched (its reservations never referenced the failed
-// resource). A RecoveryPolicy headroom keeps normal admissions from
-// filling the platform so full that recovery has no room to work;
-// recovery re-admissions themselves bypass the headroom. repair()
-// undoes a fault; after every fault is repaired and every client
-// departs, the budget is bit-identical to pristine (nothing about a
-// fail/repair cycle leaks).
+// resource). A RecoveryPolicy headroom of spare tiles keeps normal
+// admissions from filling the platform so full that recovery has no
+// room to work; recovery re-admissions themselves bypass the headroom.
+// repair() undoes a fault; after every fault is repaired and every
+// client departs, the budget is bit-identical to pristine (nothing
+// about a fail/repair cycle leaks).
 #pragma once
 
 #include <cstdint>
@@ -72,30 +72,24 @@ namespace mamps::mapping {
 using ClientId = std::uint32_t;
 
 /// Spare-capacity headroom for fault recovery: normal admissions are
-/// rejected when committing them would leave the platform with less
-/// free capacity than this, so evacuated clients have room to land.
+/// rejected when committing them would leave the platform with fewer
+/// spare tiles than this, so evacuated clients have room to land.
 /// Recovery re-admissions bypass the headroom (using the reserve is
-/// their purpose). An all-zero policy (the default) disables the check.
+/// their purpose). The default zero disables the check.
 struct RecoveryPolicy {
   /// Admit only while at least this many healthy, completely unreserved
   /// tiles (no TDM slot held by any client) would remain.
   std::uint32_t spareTiles = 0;
-  /// Admit only while at least this much interconnect capacity would
-  /// remain: total free SDM wires across healthy NoC links, or free
-  /// (allocatable) FSL links.
-  std::uint32_t spareWires = 0;
 
   /// Does the policy enforce anything?
-  /// @return true when either knob is nonzero
-  [[nodiscard]] bool active() const { return spareTiles > 0 || spareWires > 0; }
+  /// @return true when spareTiles is nonzero
+  [[nodiscard]] bool active() const { return spareTiles > 0; }
 };
 
-/// Tuning knobs for AdmissionController.
+/// Tuning knobs for AdmissionController. An application that maps but
+/// misses its own throughput constraint is always rejected: a guarantee
+/// that does not compose is not a guarantee.
 struct AdmissionOptions {
-  /// Reject applications that map but miss their own throughput
-  /// constraint (a guarantee that does not compose is not a guarantee).
-  /// Disabling admits any feasible mapping.
-  bool requireConstraint = true;
   /// Memoize decisions per (application, options, residual signature)
   /// and replay them on repeat states. Replayed decisions are
   /// bit-identical to recomputed ones; disabling exists for the cold

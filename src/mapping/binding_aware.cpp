@@ -30,17 +30,27 @@ BindingAwareModel buildBindingAware(const sdf::ApplicationModel& app,
 
   // Effective actor execution times: with PE-based serialization the
   // wrapper serializes every produced token and de-serializes every
-  // consumed token of inter-tile channels inline.
+  // consumed token of inter-tile channels inline. Checked, because a
+  // WCET read from a file can make the sum wrap, and a wrapped (smaller)
+  // time would make the guarantee optimistic.
   std::vector<std::uint64_t> effective = actorExecTimes;
+  const auto charge = [&](ActorId a, std::uint32_t rate, std::uint64_t cycles) {
+    std::uint64_t overhead = 0;
+    if (__builtin_mul_overflow(std::uint64_t{rate}, cycles, &overhead) ||
+        __builtin_add_overflow(effective[a], overhead, &effective[a])) {
+      throw ModelError("buildBindingAware: PE-serialized time of actor " + g.actor(a).name +
+                       " overflows 64 bits");
+    }
+  };
   if (onPe) {
     for (ChannelId c = 0; c < g.channelCount(); ++c) {
       if (!mapping.channelRoutes[c].interTile) {
         continue;
       }
       const sdf::Channel& channel = g.channel(c);
-      const std::uint32_t n = comm::wordsPerToken(channel.tokenSizeBytes);
-      effective[channel.src] += std::uint64_t{channel.prodRate} * serCost.cycles(n);
-      effective[channel.dst] += std::uint64_t{channel.consRate} * serCost.cycles(n);
+      const std::uint64_t cycles = serCost.cycles(comm::wordsPerToken(channel.tokenSizeBytes));
+      charge(channel.src, channel.prodRate, cycles);
+      charge(channel.dst, channel.consRate, cycles);
     }
   }
 

@@ -109,6 +109,9 @@ std::optional<std::vector<std::vector<ActorId>>> buildStaticOrderSchedules(
       }
     }
 
+    if (totalRemaining == 0) {
+      break;  // zero-time retirements finished the iteration
+    }
     // Advance to the earliest completion.
     std::uint64_t nextTime = std::numeric_limits<std::uint64_t>::max();
     for (TileId t = 0; t < arch.tileCount(); ++t) {

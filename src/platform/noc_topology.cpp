@@ -95,48 +95,7 @@ std::uint32_t NocTopology::hopDistance(std::uint32_t srcRouter, std::uint32_t ds
   return dx + dy;
 }
 
-WireAllocator::WireAllocator(const NocTopology& topology)
-    : topology_(&topology), used_(topology.linkCount(), 0) {}
-
-bool WireAllocator::reserve(const std::vector<LinkId>& route, std::uint32_t wires) {
-  if (wires == 0) {
-    throw ModelError("WireAllocator: cannot reserve zero wires");
-  }
-  for (const LinkId l : route) {
-    if (freeWires(l) < wires) {
-      return false;
-    }
-  }
-  for (const LinkId l : route) {
-    used_[l] += wires;
-  }
-  return true;
-}
-
-void WireAllocator::release(const std::vector<LinkId>& route, std::uint32_t wires) {
-  for (const LinkId l : route) {
-    if (used_[l] < wires) {
-      throw ModelError("WireAllocator: releasing more wires than reserved");
-    }
-    used_[l] -= wires;
-  }
-}
-
-std::uint32_t WireAllocator::freeWires(LinkId link) const {
-  if (link >= used_.size()) {
-    throw ModelError("WireAllocator: link id out of range");
-  }
-  return topology_->config().wiresPerLink - used_[link];
-}
-
-std::uint32_t WireAllocator::usedWires(LinkId link) const {
-  if (link >= used_.size()) {
-    throw ModelError("WireAllocator: link id out of range");
-  }
-  return used_[link];
-}
-
-std::uint32_t WireAllocator::cyclesPerWord(std::uint32_t wires) {
+std::uint32_t cyclesPerWord(std::uint32_t wires) {
   if (wires == 0) {
     throw ModelError("cyclesPerWord: zero wires");
   }

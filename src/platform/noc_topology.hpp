@@ -1,14 +1,15 @@
-// SDM mesh NoC topology: router placement, XY routing, and per-link
-// wire accounting (Section 5.3.1, based on [17]).
+// SDM mesh NoC topology: router placement, XY routing, and the word
+// cost of a wire reservation (Section 5.3.1, based on [17]).
 //
 // The NoC has one router per tile, arranged in a 2-D mesh kept as close
 // to square as possible. Connections are programmed point-to-point; a
 // connection is assigned a number of wires on every link along its
-// route, and a wire belongs to at most one connection at a time.
+// route, and a wire belongs to at most one connection at a time. The
+// per-link ledger of those wires is platform::ResourceBudget
+// (reserveNocWires / usedWires).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,30 +70,10 @@ class NocTopology {
   // linkIndex_[from][direction] would be denser; a flat search keeps it simple.
 };
 
-/// Tracks SDM wire usage per link and admits/releases connections.
-/// A connection reserving `wires` wires claims them on every link of its
-/// route; words are transmitted bit-serially over the reserved wires, so
-/// one 32-bit word takes ceil(32 / wires) cycles on the narrowest hop.
-class WireAllocator {
- public:
-  explicit WireAllocator(const NocTopology& topology);
-
-  /// Reserve `wires` wires along `route`; returns false (and changes
-  /// nothing) when any link lacks capacity.
-  [[nodiscard]] bool reserve(const std::vector<LinkId>& route, std::uint32_t wires);
-
-  /// Release a previous reservation.
-  void release(const std::vector<LinkId>& route, std::uint32_t wires);
-
-  [[nodiscard]] std::uint32_t freeWires(LinkId link) const;
-  [[nodiscard]] std::uint32_t usedWires(LinkId link) const;
-
-  /// Cycles needed to move one 32-bit word over `wires` reserved wires.
-  [[nodiscard]] static std::uint32_t cyclesPerWord(std::uint32_t wires);
-
- private:
-  const NocTopology* topology_;
-  std::vector<std::uint32_t> used_;  // per link
-};
+/// Cycles needed to move one 32-bit word over a connection's `wires`
+/// reserved wires: words are transmitted bit-serially, so one word takes
+/// ceil(32 / wires) cycles on the narrowest hop.
+/// @throws ModelError when `wires` is zero
+[[nodiscard]] std::uint32_t cyclesPerWord(std::uint32_t wires);
 
 }  // namespace mamps::platform

@@ -157,10 +157,8 @@ const NocTopology& ResourceBudget::nocTopology() const {
   return *topology_;
 }
 
-// Same check-then-commit contract as platform::WireAllocator::reserve
-// (noc_topology.hpp) — the budget keeps its own per-link state because
-// it must be copyable for trial mappings, but the semantics (including
-// rejecting a zero-wire reservation) must not drift apart.
+// Check-then-commit: a route that lacks `wires` free wires on any link
+// changes nothing. This is the one per-link wire ledger of the flow.
 bool ResourceBudget::reserveNocWires(const std::vector<LinkId>& route, std::uint32_t wires,
                                      std::uint32_t client) {
   if (wires == 0) {

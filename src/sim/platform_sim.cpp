@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <string>
 
-#include "comm/params.hpp"
+#include "analysis/self_timed.hpp"
 #include "mapping/binding_aware.hpp"
 #include "sdf/repetition_vector.hpp"
 
@@ -43,24 +44,14 @@ struct PlatformSim::Impl {
     }
     model = mapping::buildBindingAware(app, arch, mapping, wcet);
 
+    // An application actor's model time is its WCET plus the PE-mode
+    // (de)serialization overhead; a firing costs its behaviour's cycles
+    // plus that same overhead.
     behaviors.resize(app.graph().actorCount());
+    serOverhead.resize(app.graph().actorCount());
     for (ActorId a = 0; a < app.graph().actorCount(); ++a) {
       behaviors[a] = std::make_unique<ConstantCostBehavior>(wcet[a]);
-    }
-
-    // PE-mode serialization overhead per firing (matches buildBindingAware).
-    serOverhead.assign(app.graph().actorCount(), 0);
-    if (mapping.serialization == comm::SerializationMode::OnProcessor) {
-      const comm::SerializationCost cost = comm::processorSerializationCost();
-      for (ChannelId c = 0; c < app.graph().channelCount(); ++c) {
-        if (!mapping.channelRoutes.at(c).interTile) {
-          continue;
-        }
-        const sdf::Channel& channel = app.graph().channel(c);
-        const std::uint32_t n = comm::wordsPerToken(channel.tokenSizeBytes);
-        serOverhead[channel.src] += std::uint64_t{channel.prodRate} * cost.cycles(n);
-        serOverhead[channel.dst] += std::uint64_t{channel.consRate} * cost.cycles(n);
-      }
+      serOverhead[a] = model.graph.execTime[a] - wcet[a];
     }
 
     explicitIns.resize(app.graph().actorCount());
@@ -98,26 +89,18 @@ void PlatformSim::setBehavior(ActorId actor, std::unique_ptr<ActorBehavior> beha
 
 namespace {
 
-/// The event-driven execution engine. It runs the binding-aware
-/// structure (graph + resources) exactly like the worst-case analysis
-/// does, but with per-firing costs from the functional behaviors and
+/// The execution engine: the binding-aware structure (graph +
+/// resources) runs on the same self-timed executor as the state-space
+/// analysis, with per-firing costs from the functional behaviours and
 /// byte-accurate payload transport alongside the token counting.
 class Engine {
  public:
   Engine(PlatformSim::Impl& impl, const SimOptions& options)
       : impl_(impl),
-        graph_(impl.model.graph.graph),
         options_(options),
-        originalActors_(impl.app.graph().actorCount()) {
-    tokens_.resize(graph_.channelCount());
-    for (ChannelId c = 0; c < graph_.channelCount(); ++c) {
-      tokens_[c] = graph_.channel(c).initialTokens;
-    }
-    remaining_.resize(graph_.actorCount());
+        originalActors_(impl.app.graph().actorCount()),
+        execution_(impl.model.graph, &impl.model.resources) {
     pendingOutputs_.resize(originalActors_);
-    const auto& resources = impl_.model.resources;
-    schedulePos_.assign(resources.staticOrder.size(), 0);
-    resourceBusy_.assign(resources.staticOrder.size(), 0);
 
     // Payload queues per original explicit channel; initial tokens get
     // payloads from the source actor's init function.
@@ -142,96 +125,63 @@ class Engine {
     result_.totalFiringCycles.assign(originalActors_, 0);
     result_.firings.assign(originalActors_, 0);
     result_.interTileBytes.assign(impl_.app.graph().channelCount(), 0);
-    qRef_ = computeQRef();
+    const auto q = sdf::computeRepetitionVector(impl_.app.graph());
+    if (!q) {
+      throw ModelError("PlatformSim: inconsistent application graph");
+    }
+    qRef_ = (*q)[0];
   }
 
   SimResult run() {
     const std::uint64_t warmupFirings = options_.warmupIterations * qRef_;
     const std::uint64_t endFirings =
         (options_.warmupIterations + options_.measureIterations) * qRef_;
-
-    while (now_ <= options_.maxCycles) {
-      settleInstant();
-      if (refCompletions_ >= warmupFirings && measureStart_ == kUnset) {
-        measureStart_ = now_;
+    // An application actor's firing costs its behaviour's cycles plus
+    // the PE-mode (de)serialization overhead.
+    const auto cost = [this](ActorId a) {
+      if (a >= originalActors_) {
+        return impl_.model.graph.execTime[a];
       }
-      if (refCompletions_ >= endFirings) {
+      std::uint64_t cycles = 0;
+      if (__builtin_add_overflow(runBehavior(a), impl_.serOverhead[a], &cycles)) {
+        throw ModelError("PlatformSim: firing cost of actor " + impl_.app.graph().actor(a).name +
+                         " overflows 64 bits");
+      }
+      return cycles;
+    };
+    const auto done = [this](ActorId a) {
+      if (a < originalActors_) {
+        deliver(a);
+      }
+    };
+
+    while (execution_.now() <= options_.maxCycles) {
+      if (!execution_.settle(cost, done)) {
+        throw ModelError("PlatformSim: zero-time firings never settle at cycle " +
+                         std::to_string(execution_.now()));
+      }
+      const std::uint64_t completions = execution_.referenceCompletions();
+      if (completions >= warmupFirings && measureStart_ == kUnset) {
+        measureStart_ = execution_.now();
+      }
+      if (completions >= endFirings) {
         result_.status = SimResult::Status::Ok;
-        result_.measuredCycles = now_ - measureStart_;
+        result_.measuredCycles = execution_.now() - measureStart_;
         result_.measuredIterations = options_.measureIterations;
         break;
       }
-      const bool anyOngoing = std::any_of(remaining_.begin(), remaining_.end(),
-                                          [](const auto& r) { return !r.empty(); });
-      if (!anyOngoing) {
+      if (!execution_.active()) {
         result_.status = SimResult::Status::Deadlock;
         break;
       }
-      advanceTime();
+      execution_.advance();
     }
-    result_.totalCycles = now_;
+    result_.totalCycles = execution_.now();
     return std::move(result_);
   }
 
  private:
   static constexpr std::uint64_t kUnset = std::numeric_limits<std::uint64_t>::max();
-
-  [[nodiscard]] std::uint64_t computeQRef() const {
-    const auto q = sdf::computeRepetitionVector(impl_.app.graph());
-    if (!q) {
-      throw ModelError("PlatformSim: inconsistent application graph");
-    }
-    return (*q)[0];
-  }
-
-  [[nodiscard]] std::uint32_t resourceOf(ActorId a) const {
-    return a < impl_.model.resources.actorResource.size()
-               ? impl_.model.resources.actorResource[a]
-               : analysis::ResourceConstraints::kUnbound;
-  }
-
-  [[nodiscard]] bool isReady(ActorId a) const {
-    const std::uint32_t limit = impl_.model.graph.concurrencyLimit(a);
-    if (limit != 0 && remaining_[a].size() >= limit) {
-      return false;
-    }
-    const std::uint32_t res = resourceOf(a);
-    if (res != analysis::ResourceConstraints::kUnbound) {
-      if (resourceBusy_[res] != 0) {
-        return false;
-      }
-      const auto& order = impl_.model.resources.staticOrder[res];
-      if (order[schedulePos_[res]] != a) {
-        return false;
-      }
-    }
-    for (const ChannelId c : graph_.actor(a).inputs) {
-      if (tokens_[c] < graph_.channel(c).consRate) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void startFiring(ActorId a) {
-    for (const ChannelId c : graph_.actor(a).inputs) {
-      tokens_[c] -= graph_.channel(c).consRate;
-    }
-    std::uint64_t cost = 0;
-    if (a < originalActors_) {
-      cost = runBehavior(a) + impl_.serOverhead[a];
-    } else {
-      cost = impl_.model.graph.execTime[a];
-    }
-    auto& r = remaining_[a];
-    r.insert(std::upper_bound(r.begin(), r.end(), cost), cost);
-    const std::uint32_t res = resourceOf(a);
-    if (res != analysis::ResourceConstraints::kUnbound) {
-      ++resourceBusy_[res];
-      schedulePos_[res] =
-          (schedulePos_[res] + 1) % impl_.model.resources.staticOrder[res].size();
-    }
-  }
 
   /// Execute the functional behavior: pop input payloads, produce output
   /// payloads (buffered until the firing completes), return the cost.
@@ -276,80 +226,25 @@ class Engine {
     return cost;
   }
 
-  void completeFiring(ActorId a) {
-    remaining_[a].erase(remaining_[a].begin());
-    for (const ChannelId c : graph_.actor(a).outputs) {
-      tokens_[c] += graph_.channel(c).prodRate;
-    }
-    if (a < originalActors_) {
-      for (auto& [channel, token] : pendingOutputs_[a]) {
-        if (impl_.mapping.channelRoutes.at(channel).interTile) {
-          result_.interTileBytes[channel] += token.size();
-        }
-        payloads_[channel].push_back(std::move(token));
+  /// Deliver a completed firing's output payloads (SDF produce-at-end).
+  void deliver(ActorId a) {
+    for (auto& [channel, token] : pendingOutputs_[a]) {
+      if (impl_.mapping.channelRoutes.at(channel).interTile) {
+        result_.interTileBytes[channel] += token.size();
       }
-      pendingOutputs_[a].clear();
-      if (a == 0) {
-        ++refCompletions_;
-      }
+      payloads_[channel].push_back(std::move(token));
     }
-    const std::uint32_t res = resourceOf(a);
-    if (res != analysis::ResourceConstraints::kUnbound) {
-      --resourceBusy_[res];
-    }
-  }
-
-  void settleInstant() {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (ActorId a = 0; a < graph_.actorCount(); ++a) {
-        while (isReady(a)) {
-          startFiring(a);
-          changed = true;
-          // Serialized actors can hold only one firing; the loop exits
-          // via isReady. Unlimited-concurrency zero-time actors are
-          // bounded by their input tokens.
-        }
-      }
-      for (ActorId a = 0; a < graph_.actorCount(); ++a) {
-        while (!remaining_[a].empty() && remaining_[a].front() == 0) {
-          completeFiring(a);
-          changed = true;
-        }
-      }
-    }
-  }
-
-  void advanceTime() {
-    std::uint64_t delta = std::numeric_limits<std::uint64_t>::max();
-    for (const auto& r : remaining_) {
-      if (!r.empty()) {
-        delta = std::min(delta, r.front());
-      }
-    }
-    now_ += delta;
-    for (auto& r : remaining_) {
-      for (auto& v : r) {
-        v -= delta;
-      }
-    }
+    pendingOutputs_[a].clear();
   }
 
   PlatformSim::Impl& impl_;
-  const sdf::Graph& graph_;
   SimOptions options_;
   std::size_t originalActors_;
+  analysis::SelfTimedExecution execution_;
 
-  std::vector<std::uint64_t> tokens_;
-  std::vector<std::vector<std::uint64_t>> remaining_;
   std::vector<std::vector<std::pair<ChannelId, Token>>> pendingOutputs_;
   std::vector<std::deque<Token>> payloads_;
-  std::vector<std::uint32_t> schedulePos_;
-  std::vector<std::uint32_t> resourceBusy_;
 
-  std::uint64_t now_ = 0;
-  std::uint64_t refCompletions_ = 0;
   std::uint64_t measureStart_ = kUnset;
   std::uint64_t qRef_ = 1;
   SimResult result_;

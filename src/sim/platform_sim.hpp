@@ -17,12 +17,13 @@
 // CA engines charge their own time and the PE is relieved (Section 4.1).
 //
 // Every stage matches one actor of the Figure 4 communication model
-// with identical timing parameters, so an execution of this simulator
-// is one of the behaviours covered by the binding-aware SDF3 analysis:
-// as long as every firing's actual cost is at most the actor's WCET,
-// the measured throughput is lower-bounded by the SDF3 guarantee. That
-// relation is the paper's headline claim (Figure 6) and is asserted by
-// the integration tests.
+// with identical timing parameters, and the firing rules are those of
+// analysis::SelfTimedExecution, the executor the state-space analysis
+// explores. So an execution of this simulator is one of the behaviours
+// covered by the binding-aware SDF3 analysis: as long as every firing's
+// actual cost is at most the actor's WCET, the measured throughput is
+// lower-bounded by the SDF3 guarantee. That relation is the paper's
+// headline claim (Figure 6) and is asserted by the integration tests.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +88,8 @@ class PlatformSim {
   void setBehavior(sdf::ActorId actor, std::unique_ptr<ActorBehavior> behavior);
 
   /// Run the simulation; reference for iteration counting is actor 0.
+  /// Throws ModelError when zero-time firings never settle within one
+  /// instant (a zero-time cycle, which the analysis calls Unbounded).
   [[nodiscard]] SimResult run(const SimOptions& options = {});
 
   struct Impl;  // public: the engine in the implementation file uses it

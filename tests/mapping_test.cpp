@@ -3,8 +3,10 @@
 // mapping step.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "mapping/flow.hpp"
 #include "mapping/schedule.hpp"
@@ -183,6 +185,28 @@ TEST(ScheduleTest, DeadlockedGraphReturnsNullopt) {
   EXPECT_FALSE(buildStaticOrderSchedules(app, arch, {0, 0}).has_value());
 }
 
+TEST(ScheduleTest, ZeroCycleLastFiringIsNotADeadlock) {
+  // Once zero-time retirement finishes the iteration no tile is busy;
+  // the list scheduler must stop there instead of reporting a deadlock.
+  const ApplicationModel fig2 = test::makeAppModel(test::figure2Graph(), {500, 800, 0});
+  const auto mapped = mapApplication(fig2, makeArch(2, InterconnectKind::Fsl), {});
+  ASSERT_TRUE(mapped.has_value());
+  ASSERT_TRUE(mapped->throughput.ok());
+  analysis::ThroughputOptions stateSpace;
+  stateSpace.engine = analysis::ThroughputEngine::StateSpace;
+  const auto reference =
+      analysis::computeThroughput(mapped->model.graph, mapped->model.resources, stateSpace);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(mapped->throughput.iterationsPerCycle, reference.iterationsPerCycle);
+
+  const ApplicationModel ring = test::makeAppModel(test::ringGraph(2), {5, 0});
+  for (const std::uint32_t tiles : {1u, 2u}) {
+    const auto ringMapped = mapApplication(ring, makeArch(tiles, InterconnectKind::Fsl), {});
+    ASSERT_TRUE(ringMapped.has_value()) << tiles << " tiles";
+    EXPECT_TRUE(ringMapped->throughput.ok()) << tiles << " tiles";
+  }
+}
+
 // ------------------------------------------------------------ BindingAware
 
 TEST(BindingAwareTest, LocalMappingAddsNoCommActors) {
@@ -256,6 +280,28 @@ TEST(BindingAwareTest, PeSerializationInflatesActorTimes) {
   EXPECT_EQ(ca.graph.execTime[0], 1000u);
   EXPECT_GT(ca.graph.execTime[ca.expanded[0].s1], 0u);
   EXPECT_EQ(pe.graph.execTime[pe.expanded[0].s1], 0u);
+}
+
+TEST(BindingAwareTest, PeSerializationThatWouldWrapThrows) {
+  // Two actors on two tiles: each pays the (de)serialization of the
+  // ring's inter-tile tokens on its PE. Near 2^64 that sum must not wrap
+  // to a tiny time and an optimistic guarantee.
+  const Architecture arch = makeArch(2, InterconnectKind::Fsl);
+  const ApplicationModel huge =
+      test::makeAppModel(test::ringGraph(2), {std::numeric_limits<std::uint64_t>::max() - 9, 5});
+  try {
+    (void)mapApplication(huge, arch, {});
+    ADD_FAILURE() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("actor r0"), std::string::npos) << e.what();
+  }
+  // Far from the limit the same mapping stays exact.
+  const std::uint64_t big = std::uint64_t{1} << 62;
+  const auto mapped = mapApplication(test::makeAppModel(test::ringGraph(2), {big, 5}), arch, {});
+  ASSERT_TRUE(mapped.has_value());
+  ASSERT_TRUE(mapped->throughput.ok());
+  EXPECT_EQ(mapped->throughput.iterationsPerCycle,
+            Rational(1, static_cast<std::int64_t>(big + 137)));
 }
 
 TEST(BindingAwareTest, CaModeYieldsHigherThroughputForCommHeavyApps) {

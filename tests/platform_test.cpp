@@ -231,57 +231,13 @@ TEST(NocTopologyTest, EmptyRouteForSameRouter) {
   EXPECT_TRUE(topo.xyRoute(3, 3).empty());
 }
 
-// ----------------------------------------------------------- WireAllocator
-
-TEST(WireAllocatorTest, ReserveAndRelease) {
-  NocConfig config;
-  config.rows = 1;
-  config.cols = 2;
-  config.wiresPerLink = 8;
-  const NocTopology topo(config);
-  WireAllocator alloc(topo);
-  const auto route = topo.xyRoute(0, 1);
-  ASSERT_EQ(route.size(), 1u);
-  EXPECT_TRUE(alloc.reserve(route, 5));
-  EXPECT_EQ(alloc.usedWires(route[0]), 5u);
-  EXPECT_EQ(alloc.freeWires(route[0]), 3u);
-  EXPECT_FALSE(alloc.reserve(route, 4));  // only 3 left
-  EXPECT_TRUE(alloc.reserve(route, 3));
-  alloc.release(route, 5);
-  EXPECT_EQ(alloc.freeWires(route[0]), 5u);
-}
-
-TEST(WireAllocatorTest, FailedReserveChangesNothing) {
-  NocConfig config;
-  config.rows = 1;
-  config.cols = 3;
-  config.wiresPerLink = 4;
-  const NocTopology topo(config);
-  WireAllocator alloc(topo);
-  const auto longRoute = topo.xyRoute(0, 2);
-  const auto shortRoute = topo.xyRoute(1, 2);
-  ASSERT_TRUE(alloc.reserve(shortRoute, 3));
-  // Long route needs 4 on both links but the second has only 1 free.
-  EXPECT_FALSE(alloc.reserve(longRoute, 4));
-  EXPECT_EQ(alloc.usedWires(longRoute[0]), 0u);  // first link untouched
-}
-
-TEST(WireAllocatorTest, ReleaseTooMuchThrows) {
-  NocConfig config;
-  config.rows = 1;
-  config.cols = 2;
-  const NocTopology topo(config);
-  WireAllocator alloc(topo);
-  EXPECT_THROW(alloc.release(topo.xyRoute(0, 1), 1), ModelError);
-}
-
-TEST(WireAllocatorTest, CyclesPerWord) {
-  EXPECT_EQ(WireAllocator::cyclesPerWord(32), 1u);
-  EXPECT_EQ(WireAllocator::cyclesPerWord(16), 2u);
-  EXPECT_EQ(WireAllocator::cyclesPerWord(8), 4u);
-  EXPECT_EQ(WireAllocator::cyclesPerWord(1), 32u);
-  EXPECT_EQ(WireAllocator::cyclesPerWord(5), 7u);
-  EXPECT_THROW((void)WireAllocator::cyclesPerWord(0), ModelError);
+TEST(NocTopologyTest, CyclesPerWord) {
+  EXPECT_EQ(cyclesPerWord(32), 1u);
+  EXPECT_EQ(cyclesPerWord(16), 2u);
+  EXPECT_EQ(cyclesPerWord(8), 4u);
+  EXPECT_EQ(cyclesPerWord(1), 32u);
+  EXPECT_EQ(cyclesPerWord(5), 7u);
+  EXPECT_THROW((void)cyclesPerWord(0), ModelError);
 }
 
 // -------------------------------------------------------------------- Area

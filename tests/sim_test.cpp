@@ -3,6 +3,13 @@
 // invariant on randomized applications.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <ostream>
+
+#include "apps/mjpeg/actors.hpp"
+#include "apps/mjpeg/encoder.hpp"
+#include "apps/mjpeg/testdata.hpp"
+#include "apps/suite/suite.hpp"
 #include "mapping/flow.hpp"
 #include "platform/arch_template.hpp"
 #include "sim/platform_sim.hpp"
@@ -102,6 +109,19 @@ TEST(SimTest, VariableCostsReportMaximum) {
   const SimResult result = simulator.run();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.maxFiringCycles[0], 80u);
+}
+
+TEST(SimTest, ZeroTimeCycleThrowsInsteadOfHanging) {
+  // Mapped with real WCETs on one tile, then run with zero-time firings:
+  // the static order r0, r1 fires forever at cycle 0. The analysis calls
+  // that Unbounded; the simulator must stop with a typed error.
+  const Deployed d =
+      deploy(test::makeAppModel(test::ringGraph(2), {1, 1}), 1, InterconnectKind::Fsl);
+  const sdf::ApplicationModel zero = test::makeAppModel(test::ringGraph(2), {0, 0});
+  EXPECT_EQ(mapping::analyzeMapping(zero, d.arch, d.result.mapping, {0, 0}).status,
+            analysis::ThroughputResult::Status::Unbounded);
+  PlatformSim simulator(zero, d.arch, d.result.mapping);
+  EXPECT_THROW((void)simulator.run(), ModelError);
 }
 
 // -------------------------------------------------------------- Functional
@@ -207,6 +227,18 @@ TEST(SimTest, InterTileByteAccounting) {
   EXPECT_EQ(result.interTileBytes[0] % 64, 0u);
 }
 
+TEST(SimTest, FiringCostThatWouldWrapThrows) {
+  // The producer pays PE serialization on top of its behaviour's cost;
+  // a behaviour reporting 2^64 - 1 cycles must not wrap that sum to a
+  // short firing.
+  const Deployed d = deploy(patternApp(64), 2, InterconnectKind::Fsl);
+  ASSERT_NE(d.result.mapping.actorToTile[0], d.result.mapping.actorToTile[1]);
+  PlatformSim simulator(d.app, d.arch, d.result.mapping);
+  simulator.setBehavior(
+      0, std::make_unique<ConstantCostBehavior>(std::numeric_limits<std::uint64_t>::max()));
+  EXPECT_THROW((void)simulator.run(), ModelError);
+}
+
 // ------------------------------------------------- Guarantee (property)
 
 class GuaranteeProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -243,6 +275,185 @@ TEST_P(GuaranteeProperty, MeasuredNeverBelowGuarantee) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GuaranteeProperty, ::testing::Range<std::uint64_t>(1, 21));
+
+// ---------------------------------------------------------------- Goldens
+
+/// One pinned simulation: its cycle counts and an FNV-1a digest of the
+/// per-actor profile (firings, max and total firing cycles) and the
+/// per-channel inter-tile bytes.
+struct GoldenRun {
+  std::string label;
+  SimResult::Status status;
+  std::uint64_t totalCycles;
+  std::uint64_t measuredCycles;
+  std::uint64_t digest;
+
+  bool operator==(const GoldenRun&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const GoldenRun& run) {
+  constexpr const char* kStatusNames[] = {"Ok", "Deadlock", "CycleLimit"};
+  return out << "{\"" << run.label << "\", " << kStatusNames[static_cast<int>(run.status)] << ", "
+             << run.totalCycles << "u, " << run.measuredCycles << "u, 0x" << std::hex
+             << run.digest << std::dec << "u},";
+}
+
+std::uint64_t profileDigest(const SimResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash = (hash ^ ((value >> (8 * byte)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  };
+  for (const auto* values : {&result.firings, &result.maxFiringCycles,
+                             &result.totalFiringCycles, &result.interTileBytes}) {
+    mix(values->size());
+    for (const std::uint64_t v : *values) {
+      mix(v);
+    }
+  }
+  return hash;
+}
+
+GoldenRun goldenRunOf(std::string label, const SimResult& result) {
+  return {std::move(label), result.status, result.totalCycles, result.measuredCycles,
+          profileDigest(result)};
+}
+
+/// The golden corpus: MJPEG (WCETs calibrated on the 2-frame 48x32
+/// synthetic stream) on FSL and NoC, PE and CA serialization, 1-5
+/// tiles, with WCET costs and with the functional decoder; then every
+/// suite scenario on each of its platforms, PE and CA.
+std::vector<GoldenRun> simulateGoldenCorpus() {
+  std::vector<GoldenRun> runs;
+  const auto stream = mjpeg::encodeSequence(mjpeg::makeSyntheticSequence(2, 48, 32), {});
+  const mjpeg::MjpegApp mjpegApp = mjpeg::buildMjpegApp(mjpeg::calibrateWcets(stream));
+  SimOptions options;
+  options.warmupIterations = 2;
+  options.measureIterations = 8;
+  for (const InterconnectKind kind : {InterconnectKind::Fsl, InterconnectKind::NocMesh}) {
+    for (const auto mode : {comm::SerializationMode::OnProcessor,
+                            comm::SerializationMode::CommAssist}) {
+      for (std::uint32_t tiles = 1; tiles <= 5; ++tiles) {
+        platform::TemplateRequest request;
+        request.tileCount = tiles;
+        request.interconnect = kind;
+        request.withCommAssist = mode == comm::SerializationMode::CommAssist;
+        const platform::Architecture arch = platform::generateFromTemplate(request);
+        mapping::MappingOptions mappingOptions;
+        mappingOptions.serialization = mode;
+        const auto mapped = mapping::mapApplication(mjpegApp.model, arch, mappingOptions);
+        if (!mapped) {
+          throw Error("simulateGoldenCorpus: MJPEG did not map");
+        }
+        std::string label = "mjpeg/" + std::to_string(tiles) + "t_" +
+                            std::string(platform::interconnectKindName(kind)) +
+                            (request.withCommAssist ? "_ca" : "");
+        for (const bool decode : {false, true}) {
+          PlatformSim simulator(mjpegApp.model, arch, mapped->mapping);
+          if (decode) {
+            mjpeg::attachMjpegBehaviors(simulator, mjpegApp, stream);
+          }
+          runs.push_back(goldenRunOf(label + (decode ? "+decoder" : ""),
+                                     simulator.run(options)));
+        }
+      }
+    }
+  }
+  for (const suite::Scenario& scenario : suite::builtinScenarios()) {
+    for (const mapping::DesignPoint& point : suite::scenarioDesignPoints(scenario)) {
+      const platform::Architecture arch = platform::generateFromTemplate(point.platform);
+      const auto mapped = mapping::mapApplication(scenario.model, arch, point.options);
+      if (!mapped) {
+        throw Error("simulateGoldenCorpus: " + point.label + " did not map");
+      }
+      PlatformSim simulator(scenario.model, arch, mapped->mapping);
+      runs.push_back(goldenRunOf(point.label, simulator.run(options)));
+    }
+  }
+  return runs;
+}
+
+TEST(SimGoldenTest, CorpusMatchesPinnedResults) {
+  // Any change to the self-timed firing rules, the cost hooks or the
+  // payload transport moves a cycle count or a digest here.
+  using enum SimResult::Status;
+  const std::vector<GoldenRun> pinned = {
+      {"mjpeg/1t_fsl", Ok, 11593494u, 10234224u, 0xde4971a597fa5894u},
+      {"mjpeg/1t_fsl+decoder", Ok, 6338600u, 5571120u, 0xba53d49f20ea5375u},
+      {"mjpeg/2t_fsl", Ok, 10983618u, 9692112u, 0xff13fa456b32b744u},
+      {"mjpeg/2t_fsl+decoder", Ok, 6049340u, 5314000u, 0xcdcddd3bca1cc835u},
+      {"mjpeg/3t_fsl", Ok, 8634707u, 8054080u, 0x8e2884a108562342u},
+      {"mjpeg/3t_fsl+decoder", Ok, 4336851u, 3841410u, 0xf85645ab258aea76u},
+      {"mjpeg/4t_fsl", Ok, 8634707u, 8054080u, 0x8e2884a108562342u},
+      {"mjpeg/4t_fsl+decoder", Ok, 4336851u, 3841410u, 0xf85645ab258aea76u},
+      {"mjpeg/5t_fsl", Ok, 8634707u, 8054080u, 0x8e2884a108562342u},
+      {"mjpeg/5t_fsl+decoder", Ok, 4336851u, 3841410u, 0xf85645ab258aea76u},
+      {"mjpeg/1t_fsl_ca", Ok, 11593494u, 10234224u, 0xde4971a597fa5894u},
+      {"mjpeg/1t_fsl_ca+decoder", Ok, 6338600u, 5571120u, 0xba53d49f20ea5375u},
+      {"mjpeg/2t_fsl_ca", Ok, 10905930u, 9623056u, 0xff13fa456b32b744u},
+      {"mjpeg/2t_fsl_ca+decoder", Ok, 5971652u, 5244944u, 0xcdcddd3bca1cc835u},
+      {"mjpeg/3t_fsl_ca", Ok, 8585883u, 8008000u, 0x8e2884a108562342u},
+      {"mjpeg/3t_fsl_ca+decoder", Ok, 4288027u, 3795330u, 0xf85645ab258aea76u},
+      {"mjpeg/4t_fsl_ca", Ok, 8585883u, 8008000u, 0x8e2884a108562342u},
+      {"mjpeg/4t_fsl_ca+decoder", Ok, 4288027u, 3795330u, 0xf85645ab258aea76u},
+      {"mjpeg/5t_fsl_ca", Ok, 8585883u, 8008000u, 0x8e2884a108562342u},
+      {"mjpeg/5t_fsl_ca+decoder", Ok, 4288027u, 3795330u, 0xf85645ab258aea76u},
+      {"mjpeg/1t_nocMesh", Ok, 11593494u, 10234224u, 0xde4971a597fa5894u},
+      {"mjpeg/1t_nocMesh+decoder", Ok, 6338600u, 5571120u, 0xba53d49f20ea5375u},
+      {"mjpeg/2t_nocMesh", Ok, 10986588u, 9694752u, 0xff13fa456b32b744u},
+      {"mjpeg/2t_nocMesh+decoder", Ok, 6052310u, 5316640u, 0xcdcddd3bca1cc835u},
+      {"mjpeg/3t_nocMesh", Ok, 8634910u, 8054080u, 0x8e2884a108562342u},
+      {"mjpeg/3t_nocMesh+decoder", Ok, 4337054u, 3841410u, 0xf85645ab258aea76u},
+      {"mjpeg/4t_nocMesh", Ok, 8635035u, 8054080u, 0x8e2884a108562342u},
+      {"mjpeg/4t_nocMesh+decoder", Ok, 4337179u, 3841410u, 0xf85645ab258aea76u},
+      {"mjpeg/5t_nocMesh", Ok, 8635035u, 8054080u, 0x8e2884a108562342u},
+      {"mjpeg/5t_nocMesh+decoder", Ok, 4337179u, 3841410u, 0xf85645ab258aea76u},
+      {"mjpeg/1t_nocMesh_ca", Ok, 11593494u, 10234224u, 0xde4971a597fa5894u},
+      {"mjpeg/1t_nocMesh_ca+decoder", Ok, 6338600u, 5571120u, 0xba53d49f20ea5375u},
+      {"mjpeg/2t_nocMesh_ca", Ok, 10908900u, 9625696u, 0xff13fa456b32b744u},
+      {"mjpeg/2t_nocMesh_ca+decoder", Ok, 5974622u, 5247584u, 0xcdcddd3bca1cc835u},
+      {"mjpeg/3t_nocMesh_ca", Ok, 8586086u, 8008000u, 0x8e2884a108562342u},
+      {"mjpeg/3t_nocMesh_ca+decoder", Ok, 4288230u, 3795330u, 0xf85645ab258aea76u},
+      {"mjpeg/4t_nocMesh_ca", Ok, 8586211u, 8008000u, 0x8e2884a108562342u},
+      {"mjpeg/4t_nocMesh_ca+decoder", Ok, 4288355u, 3795330u, 0xf85645ab258aea76u},
+      {"mjpeg/5t_nocMesh_ca", Ok, 8586211u, 8008000u, 0x8e2884a108562342u},
+      {"mjpeg/5t_nocMesh_ca+decoder", Ok, 4288355u, 3795330u, 0xf85645ab258aea76u},
+      {"h263/2t_fsl", Ok, 4997600u, 4419200u, 0x1dd2c442a54cb84au},
+      {"h263/2t_fsl_ca", Ok, 4997600u, 4419200u, 0x1dd2c442a54cb84au},
+      {"h263/3t_fsl", Ok, 4997600u, 4419200u, 0x1dd2c442a54cb84au},
+      {"h263/3t_fsl_ca", Ok, 4997600u, 4419200u, 0x1dd2c442a54cb84au},
+      {"h263/4t_nocMesh", Ok, 4997600u, 4419200u, 0x1dd2c442a54cb84au},
+      {"h263/4t_nocMesh_ca", Ok, 4997600u, 4419200u, 0x1dd2c442a54cb84au},
+      {"h263/3t+1ip_fsl", Ok, 2016960u, 1769712u, 0xb3fbf121583d5dd0u},
+      {"h263/3t+1ip_fsl_ca", Ok, 1681464u, 1471504u, 0xb3fbf121583d5dd0u},
+      {"cd2dat/2t_fsl", Ok, 254604u, 221088u, 0x63ec0d00a22507d1u},
+      {"cd2dat/2t_fsl_ca", Ok, 226380u, 196000u, 0x9ebc32a60373500du},
+      {"cd2dat/3t_nocMesh", Ok, 264492u, 225696u, 0xc17d5c3ea4a01318u},
+      {"cd2dat/3t_nocMesh_ca", Ok, 185700u, 159840u, 0x7fb780ef1c2d02f6u},
+      {"cd2dat/12t_nocMesh", Ok, 260726u, 211680u, 0xf866f07def087a66u},
+      {"cd2dat/12t_nocMesh_ca", Ok, 183454u, 148960u, 0xf866f07def087a66u},
+      {"synthetic_fork/2t_fsl", Ok, 188784u, 165536u, 0xa714396b23b55897u},
+      {"synthetic_fork/2t_fsl_ca", Ok, 160584u, 141024u, 0xa714396b23b55897u},
+      {"synthetic_fork/4t_nocMesh", Ok, 62043u, 53432u, 0xda61426eb028b265u},
+      {"synthetic_fork/4t_nocMesh_ca", Ok, 56715u, 48696u, 0xd4504b994cf1e878u},
+      {"synthetic_fork/3t+2ip_fsl", Ok, 21856u, 19124u, 0xefa1a86b50f3e8du},
+      {"synthetic_fork/3t+2ip_fsl_ca", Ok, 17104u, 15972u, 0xa2e32786637060efu},
+      {"synthetic_fork/12t_nocMesh", Ok, 50747u, 43124u, 0xf4343c9d1154793au},
+      {"synthetic_fork/12t_nocMesh_ca", Ok, 42559u, 37480u, 0x2689fde3d92d0f4du},
+      {"synthetic_ring/2t_fsl", Ok, 286751u, 250536u, 0xb2d73c5f9a1d776u},
+      {"synthetic_ring/2t_fsl_ca", Ok, 200154u, 174816u, 0xb2d73c5f9a1d776u},
+      {"synthetic_ring/3t_fsl", Ok, 303285u, 265928u, 0xc4d407d06b59089bu},
+      {"synthetic_ring/3t_fsl_ca", Ok, 213164u, 186560u, 0xc4d407d06b59089bu},
+      {"synthetic_ring/4t_nocMesh", Ok, 295802u, 258408u, 0x7c7539bbc2cb4874u},
+      {"synthetic_ring/4t_nocMesh_ca", Ok, 193035u, 168304u, 0x7c7539bbc2cb4874u},
+  };
+  const std::vector<GoldenRun> runs = simulateGoldenCorpus();
+  ASSERT_EQ(runs.size(), pinned.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i], pinned[i]);
+  }
+}
 
 }  // namespace
 }  // namespace mamps::sim
