@@ -30,16 +30,13 @@ struct Visit {
   std::uint64_t step = 0;
 };
 
-StateKey encodeState(const SelfTimedExecution& execution) {
+StateKey encodeState(const SelfTimedExecution& execution, std::size_t actorCount) {
   const auto& tokens = execution.tokens();
   const auto& positions = execution.schedulePositions();
   StateKey key;
-  key.reserve(tokens.size() + 2 * execution.remaining().size() + positions.size());
+  key.reserve(tokens.size() + 2 * actorCount + positions.size());
   key.assign(tokens.begin(), tokens.end());
-  for (const auto& r : execution.remaining()) {
-    key.push_back(r.size());
-    key.insert(key.end(), r.begin(), r.end());
-  }
+  execution.appendRemaining(key);
   key.insert(key.end(), positions.begin(), positions.end());
   return key;
 }
@@ -109,7 +106,7 @@ ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
     }
 
     const auto [visit, inserted] = seen.try_emplace(
-        encodeState(execution),
+        encodeState(execution, graph.actorCount()),
         Visit{execution.now(), execution.referenceCompletions(), step});
     if (!inserted) {
       const Visit& prev = visit->second;

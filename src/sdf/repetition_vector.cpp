@@ -103,18 +103,6 @@ std::optional<std::vector<std::uint64_t>> computeRepetitionVector(const Graph& g
 
 bool isConsistent(const Graph& g) { return computeRepetitionVector(g).has_value(); }
 
-std::uint64_t firingsPerIteration(const Graph& g) {
-  const auto q = computeRepetitionVector(g);
-  if (!q) {
-    throw AnalysisError("firingsPerIteration: graph '" + g.name() + "' is inconsistent");
-  }
-  std::uint64_t total = 0;
-  for (const std::uint64_t f : *q) {
-    total += f;
-  }
-  return total;
-}
-
 bool isDeadlockFree(const Graph& g) {
   const auto qOpt = computeRepetitionVector(g);
   if (!qOpt) {

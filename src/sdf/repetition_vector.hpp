@@ -25,10 +25,6 @@ namespace mamps::sdf {
 /// True when the balance equations have a solution.
 [[nodiscard]] bool isConsistent(const Graph& g);
 
-/// Total firings in one graph iteration (sum of the repetition vector).
-/// Throws AnalysisError for inconsistent graphs.
-[[nodiscard]] std::uint64_t firingsPerIteration(const Graph& g);
-
 /// Deadlock check: simulates one iteration with token counting only
 /// (execution times are irrelevant for deadlock in SDF). Returns true
 /// when every actor can complete its q firings. Throws AnalysisError for

@@ -24,6 +24,12 @@
 // actual cost is at most the actor's WCET, the measured throughput is
 // lower-bounded by the SDF3 guarantee. That relation is the paper's
 // headline claim (Figure 6) and is asserted by the integration tests.
+//
+// The executor is event-driven: it jumps from one completion to the
+// next and re-checks only the actors a completion can enable, so a run
+// costs per firing, not per simulated instant. That matters because
+// the comm model moves tokens word by word: MJPEG has about 30 instants
+// per application firing.
 #pragma once
 
 #include <cstdint>

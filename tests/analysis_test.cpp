@@ -1,8 +1,11 @@
 // Unit tests for throughput, cycle-ratio, and buffer-capacity analyses.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "analysis/buffer.hpp"
@@ -835,6 +838,103 @@ TEST(ThroughputTest, ConcurrencyLimitBoundsPipelineDepth) {
     const auto reference = computeThroughput(timed, stateSpace);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(viaMcr.iterationsPerCycle, reference.iterationsPerCycle) << "limit " << limit;
+  }
+}
+
+// ------------------------------------------------------ State-space golden
+
+/// One variant of the state-space golden corpus: how many runs ended in
+/// each status, and an FNV-1a digest of every run's status, rational,
+/// statesExplored and periodCycles, in corpus order.
+struct StateSpaceGolden {
+  std::string variant;
+  std::array<std::uint64_t, 6> statusCounts{};  ///< indexed by Status
+  std::uint64_t digest = test::Fnv1a{}.hash;
+
+  void add(const ThroughputResult& result) {
+    ++statusCounts[static_cast<std::size_t>(result.status)];
+    test::Fnv1a fnv{digest};
+    fnv.mix(static_cast<std::uint64_t>(result.status));
+    fnv.mix(static_cast<std::uint64_t>(result.iterationsPerCycle.num()));
+    fnv.mix(static_cast<std::uint64_t>(result.iterationsPerCycle.den()));
+    fnv.mix(result.statesExplored);
+    fnv.mix(result.periodCycles);
+    digest = fnv.hash;
+  }
+
+  bool operator==(const StateSpaceGolden&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const StateSpaceGolden& golden) {
+  out << "{\"" << golden.variant << "\", {";
+  for (std::size_t i = 0; i < golden.statusCounts.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << golden.statusCounts[i] << "u";
+  }
+  return out << "}, 0x" << std::hex << golden.digest << std::dec << "u},";
+}
+
+/// The corpus: seeded random graphs (0-20 cycles per actor, a fifth of
+/// them not provisioned to be live) run by the forced state-space engine
+/// plain, capacitated to their minimal deadlock-free buffers,
+/// capacitated with a 16-state store, and capacitated with
+/// auto-concurrency; then random static-order rings, forced and Auto.
+std::vector<StateSpaceGolden> exploreStateSpaceCorpus() {
+  std::vector<StateSpaceGolden> table = {{"plain"},
+                                         {"capacitated"},
+                                         {"capacitated_store16"},
+                                         {"capacitated_auto_concurrency"},
+                                         {"ring_state_space"},
+                                         {"ring_auto"}};
+  ThroughputOptions forced;
+  forced.engine = ThroughputEngine::StateSpace;
+  ThroughputOptions store16 = forced;
+  store16.maxStoredStates = 16;
+  ThroughputOptions autoConcurrency = forced;
+  autoConcurrency.autoConcurrency = true;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    Rng rng(seed * 7907);
+    test::RandomGraphOptions opt;
+    opt.maxActors = 5;
+    opt.maxQ = 3;
+    opt.ensureLive = !rng.chance(0.2);
+    const Graph g = test::randomConsistentGraph(rng, opt);
+    const TimedGraph plain{g, test::randomExecTimes(rng, g, 0, 20)};
+    table[0].add(computeThroughput(plain, forced));
+    const auto capacities = minimalDeadlockFreeCapacities(g);
+    if (!capacities) {
+      continue;
+    }
+    const TimedGraph capacitated = withCapacities(plain, *capacities);
+    table[1].add(computeThroughput(capacitated, forced));
+    table[2].add(computeThroughput(capacitated, store16));
+    table[3].add(computeThroughput(capacitated, autoConcurrency));
+  }
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 104729);
+    const test::StaticOrderRing ring = test::randomStaticOrderRing(rng);
+    table[4].add(computeThroughput(ring.timed, ring.resources, forced));
+    table[5].add(computeThroughput(ring.timed, ring.resources));
+  }
+  return table;
+}
+
+TEST(StateSpaceGoldenTest, CorpusMatchesPinnedVerdicts) {
+  // Any change to the self-timed firing rules, the state key, the
+  // livelock bound or the divergence guard moves a count or a digest
+  // here. Status order: Ok, Deadlock, Inconsistent, Unbounded,
+  // Diverged, StepLimit.
+  const std::vector<StateSpaceGolden> pinned = {
+      {"plain", {68u, 13u, 0u, 6u, 63u, 0u}, 0xd9cc100ba20b1556u},
+      {"capacitated", {130u, 0u, 0u, 0u, 0u, 0u}, 0xec05b269b8224071u},
+      {"capacitated_store16", {130u, 0u, 0u, 0u, 0u, 0u}, 0xa95deaba09be8cf6u},
+      {"capacitated_auto_concurrency", {130u, 0u, 0u, 0u, 0u, 0u}, 0x6817d6675d2b0722u},
+      {"ring_state_space", {47u, 13u, 0u, 0u, 0u, 0u}, 0xcfa074383d2acd9fu},
+      {"ring_auto", {47u, 13u, 0u, 0u, 0u, 0u}, 0x65b7900365f15021u},
+  };
+  const std::vector<StateSpaceGolden> table = exploreStateSpaceCorpus();
+  ASSERT_EQ(table.size(), pinned.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(table[i], pinned[i]);
   }
 }
 

@@ -181,16 +181,6 @@ TEST(RepetitionVectorTest, MjpegShapedRates) {
   EXPECT_EQ((*q)[1], 10u);
 }
 
-TEST(RepetitionVectorTest, FiringsPerIteration) {
-  EXPECT_EQ(firingsPerIteration(test::figure2Graph()), 4u);
-  Graph inconsistent;
-  const auto a = inconsistent.addActor("a");
-  const auto b = inconsistent.addActor("b");
-  inconsistent.connect(a, 2, b, 1);
-  inconsistent.connect(a, 1, b, 1);
-  EXPECT_THROW((void)firingsPerIteration(inconsistent), AnalysisError);
-}
-
 // ---------------------------------------------------------------- Deadlock
 
 TEST(DeadlockTest, Figure2IsLive) { EXPECT_TRUE(isDeadlockFree(test::figure2Graph())); }

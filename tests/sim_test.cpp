@@ -6,12 +6,15 @@
 #include <limits>
 #include <ostream>
 
+#include "analysis/self_timed.hpp"
 #include "apps/mjpeg/actors.hpp"
 #include "apps/mjpeg/encoder.hpp"
 #include "apps/mjpeg/testdata.hpp"
 #include "apps/suite/suite.hpp"
+#include "mapping/binding_aware.hpp"
 #include "mapping/flow.hpp"
 #include "platform/arch_template.hpp"
+#include "sdf/repetition_vector.hpp"
 #include "sim/platform_sim.hpp"
 #include "test_util.hpp"
 
@@ -299,20 +302,15 @@ std::ostream& operator<<(std::ostream& out, const GoldenRun& run) {
 }
 
 std::uint64_t profileDigest(const SimResult& result) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash = (hash ^ ((value >> (8 * byte)) & 0xffU)) * 0x100000001b3ULL;
-    }
-  };
+  test::Fnv1a digest;
   for (const auto* values : {&result.firings, &result.maxFiringCycles,
                              &result.totalFiringCycles, &result.interTileBytes}) {
-    mix(values->size());
+    digest.mix(values->size());
     for (const std::uint64_t v : *values) {
-      mix(v);
+      digest.mix(v);
     }
   }
-  return hash;
+  return digest.hash;
 }
 
 GoldenRun goldenRunOf(std::string label, const SimResult& result) {
@@ -449,6 +447,185 @@ TEST(SimGoldenTest, CorpusMatchesPinnedResults) {
       {"synthetic_ring/4t_nocMesh_ca", Ok, 193035u, 168304u, 0x7c7539bbc2cb4874u},
   };
   const std::vector<GoldenRun> runs = simulateGoldenCorpus();
+  ASSERT_EQ(runs.size(), pinned.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i], pinned[i]);
+  }
+}
+
+// ------------------------------------------------------- Executor goldens
+
+/// One pinned run of analysis::SelfTimedExecution: the clock when it
+/// stopped and an FNV-1a digest of every callback as (now, actor,
+/// start|done), in call order. The simulator goldens pin outcomes; this
+/// pins the order in which behaviours fire and payloads arrive.
+struct ExecutorRun {
+  std::string label;
+  std::uint64_t now;
+  std::uint64_t digest;
+
+  bool operator==(const ExecutorRun&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const ExecutorRun& run) {
+  return out << "{\"" << run.label << "\", " << run.now << "u, 0x" << std::hex << run.digest
+             << std::dec << "u},";
+}
+
+/// Run the executor with cost = execTime for 2 warm-up plus 8 measured
+/// iterations (completions of actor 0), or until it deadlocks or an
+/// instant hits the livelock bound, with the simulator's loop.
+ExecutorRun executeGolden(std::string label, const sdf::TimedGraph& timed,
+                          const analysis::ResourceConstraints& resources) {
+  const std::uint64_t endFirings = 10 * (*sdf::computeRepetitionVector(timed.graph))[0];
+  analysis::SelfTimedExecution execution(timed, &resources);
+  test::Fnv1a digest;
+  const auto record = [&](sdf::ActorId a, std::uint64_t kind) {
+    digest.mix(execution.now());
+    digest.mix(a);
+    digest.mix(kind);
+  };
+  const auto cost = [&](sdf::ActorId a) {
+    record(a, 0);
+    return timed.execTime[a];
+  };
+  const auto done = [&](sdf::ActorId a) { record(a, 1); };
+  for (;;) {
+    if (!execution.settle(cost, done)) {
+      digest.mix(std::numeric_limits<std::uint64_t>::max());
+      break;
+    }
+    if (execution.referenceCompletions() >= endFirings || !execution.active()) {
+      break;
+    }
+    execution.advance();
+  }
+  return {std::move(label), execution.now(), digest.hash};
+}
+
+/// The binding-aware model of a mapped application at its WCETs.
+mapping::BindingAwareModel bindingAwareAtWcets(const sdf::ApplicationModel& app,
+                                               const platform::Architecture& arch,
+                                               const mapping::Mapping& mapping) {
+  std::vector<std::uint64_t> wcet(app.graph().actorCount());
+  for (sdf::ActorId a = 0; a < wcet.size(); ++a) {
+    wcet[a] = app.implementationFor(a, arch.tile(mapping.actorToTile.at(a)).processorType)
+                  ->wcetCycles;
+  }
+  return mapping::buildBindingAware(app, arch, mapping, wcet);
+}
+
+/// The corpus: MJPEG on 3 tiles for FSL and NoC, PE and CA
+/// serialization; the first design point of each suite scenario; and
+/// random static-order rings.
+std::vector<ExecutorRun> executeGoldenCorpus() {
+  std::vector<ExecutorRun> runs;
+  const auto stream = mjpeg::encodeSequence(mjpeg::makeSyntheticSequence(2, 48, 32), {});
+  const mjpeg::MjpegApp mjpegApp = mjpeg::buildMjpegApp(mjpeg::calibrateWcets(stream));
+  for (const InterconnectKind kind : {InterconnectKind::Fsl, InterconnectKind::NocMesh}) {
+    for (const auto mode : {comm::SerializationMode::OnProcessor,
+                            comm::SerializationMode::CommAssist}) {
+      platform::TemplateRequest request;
+      request.tileCount = 3;
+      request.interconnect = kind;
+      request.withCommAssist = mode == comm::SerializationMode::CommAssist;
+      const platform::Architecture arch = platform::generateFromTemplate(request);
+      mapping::MappingOptions mappingOptions;
+      mappingOptions.serialization = mode;
+      const auto mapped = mapping::mapApplication(mjpegApp.model, arch, mappingOptions);
+      if (!mapped) {
+        throw Error("executeGoldenCorpus: MJPEG did not map");
+      }
+      std::string label = "mjpeg/3t_" + std::string(platform::interconnectKindName(kind));
+      if (request.withCommAssist) {
+        label += "_ca";
+      }
+      const auto model = bindingAwareAtWcets(mjpegApp.model, arch, mapped->mapping);
+      runs.push_back(executeGolden(std::move(label), model.graph, model.resources));
+    }
+  }
+  for (const suite::Scenario& scenario : suite::builtinScenarios()) {
+    const mapping::DesignPoint point = suite::scenarioDesignPoints(scenario).front();
+    const platform::Architecture arch = platform::generateFromTemplate(point.platform);
+    const auto mapped = mapping::mapApplication(scenario.model, arch, point.options);
+    if (!mapped) {
+      throw Error("executeGoldenCorpus: " + point.label + " did not map");
+    }
+    const auto model = bindingAwareAtWcets(scenario.model, arch, mapped->mapping);
+    runs.push_back(executeGolden(point.label, model.graph, model.resources));
+  }
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 6151);
+    const test::StaticOrderRing ring = test::randomStaticOrderRing(rng);
+    runs.push_back(executeGolden("ring/" + std::to_string(seed), ring.timed, ring.resources));
+  }
+  return runs;
+}
+
+TEST(SelfTimedGoldenTest, CallbackOrderMatchesPinnedDigests) {
+  // Any change to the order of the executor's cost and done callbacks,
+  // or to the instants they happen at, moves a digest here.
+  const std::vector<ExecutorRun> pinned = {
+      {"mjpeg/3t_fsl", 8634707u, 0x72f2a8161f90ffc5u},
+      {"mjpeg/3t_fsl_ca", 8585883u, 0xbd00e50e41967da3u},
+      {"mjpeg/3t_nocMesh", 8634910u, 0x804760433af09b82u},
+      {"mjpeg/3t_nocMesh_ca", 8586086u, 0x36d4f6dd9dd7f61eu},
+      {"h263/2t_fsl", 4997600u, 0xa2068e420deec549u},
+      {"cd2dat/2t_fsl", 254604u, 0xfb0b0c598988f7b3u},
+      {"synthetic_fork/2t_fsl", 188784u, 0x8a7a4e47d5609e58u},
+      {"synthetic_ring/2t_fsl", 286751u, 0x9b6b0b264dd39588u},
+      {"ring/1", 294u, 0x8d66bfd2bff65e4bu},
+      {"ring/2", 171u, 0xba42334651456fe8u},
+      {"ring/3", 227u, 0xb92134f356f3ed45u},
+      {"ring/4", 330u, 0x2dd5956074f6f78du},
+      {"ring/5", 600u, 0xf82a20f2a609cb5eu},
+      {"ring/6", 522u, 0xffacc55dec6463b8u},
+      {"ring/7", 840u, 0x2c6b5492f5070ae5u},
+      {"ring/8", 130u, 0xf4b136adf89ccd05u},
+      {"ring/9", 543u, 0xc5c650361cd823cdu},
+      {"ring/10", 560u, 0x65039f7de3da98d3u},
+      {"ring/11", 381u, 0x44d791e3b73e81b8u},
+      {"ring/12", 840u, 0xdc9cb50569c1e40u},
+      {"ring/13", 574u, 0x160dc5387e1d1bf9u},
+      {"ring/14", 260u, 0x9ab091e99a2e7727u},
+      {"ring/15", 1408u, 0x257716330cb9aecu},
+      {"ring/16", 852u, 0xe2746d5ee20e0d11u},
+      {"ring/17", 405u, 0xacf02bac755d653du},
+      {"ring/18", 1071u, 0x72b15b5a0b5c6821u},
+      {"ring/19", 400u, 0x7d789b0c21ed56e1u},
+      {"ring/20", 43u, 0x6f36cd8253798aeeu},
+      {"ring/21", 504u, 0x71d519ed4a288dacu},
+      {"ring/22", 463u, 0x4a1e34a515eef523u},
+      {"ring/23", 578u, 0xf2b3734eaf5eef59u},
+      {"ring/24", 1063u, 0x7c27447ac9f897du},
+      {"ring/25", 433u, 0xa77661fd56f263cdu},
+      {"ring/26", 1179u, 0x684591d85ed629b2u},
+      {"ring/27", 0u, 0xcbf29ce484222325u},
+      {"ring/28", 593u, 0xfddbfd1b85c486c5u},
+      {"ring/29", 457u, 0x697360b116b4431cu},
+      {"ring/30", 621u, 0x33f9a26f63681be5u},
+      {"ring/31", 0u, 0xcbf29ce484222325u},
+      {"ring/32", 1421u, 0xc1ae9f11c8b842c7u},
+      {"ring/33", 299u, 0x1799acf4967b2ffdu},
+      {"ring/34", 517u, 0x3fa4a16748428dabu},
+      {"ring/35", 51u, 0x274d2d85f20b4876u},
+      {"ring/36", 321u, 0x5c3c063dd8a1b7e2u},
+      {"ring/37", 804u, 0x9215449941efb5e8u},
+      {"ring/38", 433u, 0xde46170e8143668fu},
+      {"ring/39", 289u, 0xcb9e174c8f7846a1u},
+      {"ring/40", 51u, 0x9f04f194da813fb2u},
+      {"ring/41", 200u, 0x1dd75c2c8ced8504u},
+      {"ring/42", 315u, 0xfa90a760dfaf5705u},
+      {"ring/43", 472u, 0x5a2495684198feb6u},
+      {"ring/44", 1186u, 0x4f83df2c2050f2d1u},
+      {"ring/45", 292u, 0xf5d6942df5adcc3cu},
+      {"ring/46", 337u, 0xc5bb2a1770ae0a8cu},
+      {"ring/47", 902u, 0x5b3baba3a14ac856u},
+      {"ring/48", 154u, 0x355becf9b5d59a5u},
+      {"ring/49", 143u, 0x957c610b7ac4dff3u},
+      {"ring/50", 130u, 0x9397d56b0afe3ce4u},
+  };
+  const std::vector<ExecutorRun> runs = executeGoldenCorpus();
   ASSERT_EQ(runs.size(), pinned.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i], pinned[i]);

@@ -4,8 +4,11 @@
 
 #include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/throughput.hpp"
 #include "sdf/app_model.hpp"
 #include "sdf/graph.hpp"
 #include "support/rng.hpp"
@@ -143,6 +146,117 @@ inline std::vector<std::uint64_t> randomExecTimes(Rng& rng, const sdf::Graph& g,
     t = rng.range(lo, hi);
   }
   return out;
+}
+
+/// FNV-1a over 64-bit values, low byte first: the digest of the golden
+/// tables.
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+  void mix(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash = (hash ^ ((value >> (8 * byte)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+};
+
+/// A multi-rate ring under static-order resource sharing, for the
+/// executor and state-space goldens.
+struct StaticOrderRing {
+  sdf::TimedGraph timed;
+  analysis::ResourceConstraints resources;
+};
+
+/// A random static-order ring: 2-6 actors of 0-20 cycles in a ring whose
+/// closing channel holds one iteration of tokens, each other channel
+/// none or one firing's worth. Half the rings get random
+/// self-concurrency limits in [0, 2]. Most actors are bound to one of
+/// one or two shared resources. Each resource's static order is its
+/// actors' part of a random admissible sequence of one iteration; in
+/// about a quarter of the rings it keeps only each actor's first
+/// firing, and in about a fifth it is shuffled, which may deadlock.
+inline StaticOrderRing randomStaticOrderRing(Rng& rng) {
+  const auto n = static_cast<std::uint32_t>(rng.range(2, 6));
+  std::vector<std::uint64_t> q(n);
+  for (auto& v : q) {
+    v = rng.range(1, 3);
+  }
+  sdf::Graph g("so_ring");
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    g.addActor(std::move(name));
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t next = (i + 1) % n;
+    const std::uint64_t gg = std::gcd(q[i], q[next]);
+    const auto prod = static_cast<std::uint32_t>(q[next] / gg);
+    const auto cons = static_cast<std::uint32_t>(q[i] / gg);
+    g.connect(i, prod, next, cons, next == 0 ? q[i] * prod : rng.range(0, 1) * cons);
+  }
+
+  // One iteration, fired sequentially in a random admissible order.
+  // Actor a reads channel a - 1 and writes channel a.
+  const auto input = [n](sdf::ActorId a) { return (a + n - 1) % n; };
+  std::vector<sdf::ActorId> sequence;
+  std::vector<std::uint64_t> tokens(n);
+  std::vector<std::uint64_t> left = q;
+  for (sdf::ChannelId c = 0; c < n; ++c) {
+    tokens[c] = g.channel(c).initialTokens;
+  }
+  for (;;) {
+    std::vector<sdf::ActorId> enabled;
+    for (sdf::ActorId a = 0; a < n; ++a) {
+      if (left[a] > 0 && tokens[input(a)] >= g.channel(input(a)).consRate) {
+        enabled.push_back(a);
+      }
+    }
+    if (enabled.empty()) {
+      break;
+    }
+    const sdf::ActorId a = enabled[rng.range(0, enabled.size() - 1)];
+    tokens[input(a)] -= g.channel(input(a)).consRate;
+    tokens[a] += g.channel(a).prodRate;
+    --left[a];
+    sequence.push_back(a);
+  }
+
+  std::vector<std::uint64_t> execTimes = randomExecTimes(rng, g, 0, 20);
+  StaticOrderRing ring{{std::move(g), std::move(execTimes)}, {}};
+  if (rng.chance(0.5)) {
+    ring.timed.maxConcurrent.resize(n);
+    for (auto& limit : ring.timed.maxConcurrent) {
+      limit = static_cast<std::uint32_t>(rng.range(0, 2));
+    }
+  }
+
+  const auto resourceCount = static_cast<std::uint32_t>(rng.range(1, 2));
+  ring.resources.actorResource.assign(n, analysis::ResourceConstraints::kUnbound);
+  for (sdf::ActorId a = 0; a < n; ++a) {
+    if (!rng.chance(0.2)) {
+      ring.resources.actorResource[a] =
+          static_cast<std::uint32_t>(rng.range(0, resourceCount - 1));
+    }
+  }
+  const bool firstFiringOnly = rng.chance(0.25);
+  const bool shuffled = rng.chance(0.2);
+  ring.resources.staticOrder.resize(resourceCount);
+  std::vector<bool> listed(n, false);
+  for (const sdf::ActorId a : sequence) {
+    const std::uint32_t r = ring.resources.actorResource[a];
+    if (r != analysis::ResourceConstraints::kUnbound && !(firstFiringOnly && listed[a])) {
+      ring.resources.staticOrder[r].push_back(a);
+      listed[a] = true;
+    }
+  }
+  if (shuffled) {
+    for (auto& order : ring.resources.staticOrder) {
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.range(0, i - 1)]);
+      }
+    }
+  }
+  return ring;
 }
 
 }  // namespace mamps::test
