@@ -1,9 +1,9 @@
 #include "analysis/buffer.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
+#include "analysis/self_timed.hpp"
 #include "sdf/repetition_vector.hpp"
 
 namespace mamps::analysis {
@@ -14,10 +14,14 @@ using sdf::ChannelId;
 using sdf::ChannelSpec;
 using sdf::Graph;
 
-Graph withCapacities(const Graph& g, const BufferCapacities& capacities) {
+Graph withCapacities(const Graph& g, const BufferCapacities& capacities,
+                     std::vector<ChannelId>* spaceEdges) {
   if (capacities.size() != g.channelCount()) {
     throw ModelError("withCapacities: capacity vector size mismatch");
   }
+  std::vector<ChannelId> unread;
+  std::vector<ChannelId>& spaceEdge = spaceEdges != nullptr ? *spaceEdges : unread;
+  spaceEdge.assign(g.channelCount(), sdf::kInvalidChannel);
   Graph out = g;
   for (ChannelId c = 0; c < g.channelCount(); ++c) {
     const Channel& channel = g.channel(c);
@@ -41,17 +45,19 @@ Graph withCapacities(const Graph& g, const BufferCapacities& capacities) {
     space.initialTokens = beta - channel.initialTokens;
     space.tokenSizeBytes = 1;  // space tokens carry no payload
     space.name = channel.name + "_space";
-    out.connect(space);
+    spaceEdge[c] = out.connect(space);
   }
   return out;
 }
 
-sdf::TimedGraph withCapacities(const sdf::TimedGraph& timed, const BufferCapacities& capacities) {
+sdf::TimedGraph withCapacities(const sdf::TimedGraph& timed, const BufferCapacities& capacities,
+                               std::vector<ChannelId>* spaceEdges) {
   // rebuildFrom carries over every per-actor annotation — in particular
   // maxConcurrent, which an earlier field-by-field rebuild here dropped,
   // silently serializing the pipelined (limit-0) latency stages of
   // binding-aware graphs.
-  return sdf::TimedGraph::rebuildFrom(timed, withCapacities(timed.graph, capacities));
+  return sdf::TimedGraph::rebuildFrom(timed,
+                                      withCapacities(timed.graph, capacities, spaceEdges));
 }
 
 std::uint64_t capacityLowerBound(const Channel& c) {
@@ -62,113 +68,62 @@ std::uint64_t capacityLowerBound(const Channel& c) {
 
 namespace {
 
-/// Token-counting execution of one iteration on the capacitated graph;
-/// on deadlock, reports a channel whose capacity growth would unblock a
-/// producer (nullopt when the deadlock is not capacity-induced).
-struct IterationProbe {
-  bool completed = false;
-  std::optional<ChannelId> blockedChannel;  // original channel id
-};
-
-IterationProbe probeIteration(const Graph& g, const BufferCapacities& capacities,
-                              const std::vector<std::uint64_t>& q) {
-  // Token state for forward channels and derived space state.
-  std::vector<std::uint64_t> tokens(g.channelCount());
-  std::vector<std::uint64_t> space(g.channelCount());
-  for (ChannelId c = 0; c < g.channelCount(); ++c) {
-    const Channel& channel = g.channel(c);
-    tokens[c] = channel.initialTokens;
-    space[c] = (capacities[c] == 0 || channel.isSelfEdge())
-                   ? std::numeric_limits<std::uint64_t>::max()
-                   : capacities[c] - channel.initialTokens;
-  }
-  std::vector<std::uint64_t> remaining(q.begin(), q.end());
-
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (ActorId a = 0; a < g.actorCount(); ++a) {
-      if (remaining[a] == 0) {
-        continue;
-      }
-      bool ready = true;
-      for (const ChannelId c : g.actor(a).inputs) {
-        if (tokens[c] < g.channel(c).consRate) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) {
-        continue;
-      }
-      for (const ChannelId c : g.actor(a).outputs) {
-        if (space[c] != std::numeric_limits<std::uint64_t>::max() &&
-            space[c] < g.channel(c).prodRate) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) {
-        continue;
-      }
-      for (const ChannelId c : g.actor(a).inputs) {
-        tokens[c] -= g.channel(c).consRate;
-        if (space[c] != std::numeric_limits<std::uint64_t>::max()) {
-          space[c] += g.channel(c).consRate;
-        }
-      }
-      for (const ChannelId c : g.actor(a).outputs) {
-        tokens[c] += g.channel(c).prodRate;
-        if (space[c] != std::numeric_limits<std::uint64_t>::max()) {
-          space[c] -= g.channel(c).prodRate;
-        }
-      }
-      --remaining[a];
-      progress = true;
+/// Run a budgeted execution until it stops, with one-cycle firings.
+/// Every actor is serialized, so an instant starts and retires each
+/// actor at most once and settle() never reaches its livelock bound.
+/// @return true when every actor spent its budget
+bool completesBudget(SelfTimedExecution& execution) {
+  const auto oneCycle = [](ActorId) { return std::uint64_t{1}; };
+  const auto ignore = [](ActorId) {};
+  for (;;) {
+    (void)execution.settle(oneCycle, ignore);
+    if (!execution.active()) {
+      break;
     }
+    execution.advance();
   }
+  const auto& budget = execution.budget();
+  return std::all_of(budget.begin(), budget.end(), [](std::uint64_t b) { return b == 0; });
+}
 
-  IterationProbe out;
-  out.completed = std::all_of(remaining.begin(), remaining.end(),
-                              [](std::uint64_t r) { return r == 0; });
-  if (out.completed) {
-    return out;
-  }
-  // Find a pending actor that is token-ready but space-blocked; its
-  // fullest blocking channel is the growth candidate.
+/// The channel to grow after a stalled iteration: the first
+/// space-blocked output of the first actor with budget left whose
+/// forward inputs hold their tokens.
+std::optional<ChannelId> blockedChannel(const Graph& g, const SelfTimedExecution& execution,
+                                        const std::vector<ChannelId>& spaceEdge) {
+  const auto& tokens = execution.tokens();
+  const auto holds = [&](ChannelId c) { return tokens[c] >= g.channel(c).consRate; };
   for (ActorId a = 0; a < g.actorCount(); ++a) {
-    if (remaining[a] == 0) {
-      continue;
-    }
-    bool tokenReady = true;
-    for (const ChannelId c : g.actor(a).inputs) {
-      if (tokens[c] < g.channel(c).consRate) {
-        tokenReady = false;
-        break;
-      }
-    }
-    if (!tokenReady) {
+    const auto& inputs = g.actor(a).inputs;
+    if (execution.budget()[a] == 0 || !std::all_of(inputs.begin(), inputs.end(), holds)) {
       continue;
     }
     for (const ChannelId c : g.actor(a).outputs) {
-      if (space[c] != std::numeric_limits<std::uint64_t>::max() &&
-          space[c] < g.channel(c).prodRate) {
-        out.blockedChannel = c;
-        return out;
+      if (spaceEdge[c] != sdf::kInvalidChannel && tokens[spaceEdge[c]] < g.channel(c).prodRate) {
+        return c;
       }
     }
   }
-  return out;
+  return std::nullopt;
 }
 
 }  // namespace
+
+bool isDeadlockFree(const Graph& g, std::span<const std::uint64_t> q) {
+  // An empty budget is one that never runs out: it would never stop.
+  if (q.size() != g.actorCount()) {
+    throw AnalysisError("isDeadlockFree: the repetition vector does not match the actor count");
+  }
+  SelfTimedExecution execution(g, {}, nullptr, q);
+  return completesBudget(execution);
+}
 
 std::optional<BufferCapacities> minimalDeadlockFreeCapacities(const Graph& g) {
   const auto qOpt = sdf::computeRepetitionVector(g);
   if (!qOpt) {
     throw AnalysisError("minimalDeadlockFreeCapacities: inconsistent graph");
   }
-  if (!sdf::isDeadlockFree(g)) {
+  if (!isDeadlockFree(g, *qOpt)) {
     return std::nullopt;  // deadlocks even with unbounded buffers
   }
   BufferCapacities capacities(g.channelCount(), 0);
@@ -177,19 +132,24 @@ std::optional<BufferCapacities> minimalDeadlockFreeCapacities(const Graph& g) {
       capacities[c] = capacityLowerBound(g.channel(c));
     }
   }
+  std::vector<ChannelId> spaceEdge;
+  Graph capacitated = withCapacities(g, capacities, &spaceEdge);
   // Demand-driven growth. An upper bound on any needed capacity is the
   // total tokens moved in one iteration, so this terminates.
   for (std::uint64_t round = 0;; ++round) {
-    const IterationProbe probe = probeIteration(g, capacities, *qOpt);
-    if (probe.completed) {
+    SelfTimedExecution execution(capacitated, {}, nullptr, *qOpt);
+    if (completesBudget(execution)) {
       return capacities;
     }
-    if (!probe.blockedChannel) {
+    const std::optional<ChannelId> blocked = blockedChannel(g, execution, spaceEdge);
+    if (!blocked) {
       // Deadlock not caused by capacities — cannot happen because the
       // unbounded graph is deadlock-free, but guard against it.
       return std::nullopt;
     }
-    capacities[*probe.blockedChannel] += g.channel(*probe.blockedChannel).prodRate;
+    capacities[*blocked] += g.channel(*blocked).prodRate;
+    capacitated.setInitialTokens(spaceEdge[*blocked],
+                                 capacities[*blocked] - g.channel(*blocked).initialTokens);
     if (round > 1'000'000) {
       throw AnalysisError("minimalDeadlockFreeCapacities: runaway growth");
     }

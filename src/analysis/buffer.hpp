@@ -1,4 +1,9 @@
-// Storage-distribution (buffer capacity) analysis.
+// Deadlock and storage-distribution (buffer capacity) analysis.
+//
+// Both run one iteration of the graph on the self-timed executor
+// (analysis/self_timed.hpp), each actor's budget its repetition count,
+// with one-cycle firings and every actor serialized: token counting
+// only, since execution times are irrelevant to deadlock in SDF.
 //
 // A bounded channel buffer is modeled by a reverse edge carrying "space
 // tokens" (Stuijk [14]): a channel with capacity beta tokens gets a
@@ -10,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/throughput.hpp"
@@ -25,20 +31,26 @@ using BufferCapacities = std::vector<std::uint64_t>;
 /// per bounded channel. Back-edges are named "<channel>_space".
 /// @param g the graph to capacitate
 /// @param capacities one entry per channel of `g` (0 = unbounded)
+/// @param spaceEdges when not null, receives one entry per channel of
+///   `g`: the id of its space back-edge in the result, or
+///   sdf::kInvalidChannel when it has none
 /// @return the graph with space back-edges appended
 /// @throws ModelError when a capacity is smaller than the channel's
 ///   initial tokens or smaller than max(prodRate, consRate)
-[[nodiscard]] sdf::Graph withCapacities(const sdf::Graph& g, const BufferCapacities& capacities);
+[[nodiscard]] sdf::Graph withCapacities(const sdf::Graph& g, const BufferCapacities& capacities,
+                                        std::vector<sdf::ChannelId>* spaceEdges = nullptr);
 
 /// Timed variant: back-edge transport is instantaneous (space is
 /// released by the consumer firing itself), so execution times carry
 /// over unchanged.
 /// @param timed the timed graph to capacitate
 /// @param capacities one entry per channel (0 = unbounded)
+/// @param spaceEdges as in the structural variant
 /// @return the capacitated timed graph
 /// @throws ModelError on invalid capacities (see the structural variant)
 [[nodiscard]] sdf::TimedGraph withCapacities(const sdf::TimedGraph& timed,
-                                             const BufferCapacities& capacities);
+                                             const BufferCapacities& capacities,
+                                             std::vector<sdf::ChannelId>* spaceEdges = nullptr);
 
 /// The classical per-channel lower bound for a deadlock-free capacity:
 /// prod + cons - gcd(prod, cons) + (initialTokens mod gcd), and at least
@@ -47,11 +59,19 @@ using BufferCapacities = std::vector<std::uint64_t>;
 /// @return the smallest capacity that can possibly avoid deadlock
 [[nodiscard]] std::uint64_t capacityLowerBound(const sdf::Channel& c);
 
+/// Deadlock check: can one iteration complete with unbounded buffers?
+/// @param g the graph to check
+/// @param q its repetition vector (sdf::computeRepetitionVector)
+/// @return true when every actor completes its q firings
+/// @throws AnalysisError when `q` does not have one entry per actor
+[[nodiscard]] bool isDeadlockFree(const sdf::Graph& g, std::span<const std::uint64_t> q);
+
 /// Smallest per-channel capacities (found by demand-driven search) for
 /// which the graph executes one iteration without deadlock.
 /// @param g the graph to size
 /// @return the capacities, or nullopt when the uncapacitated graph
 ///   itself deadlocks
+/// @throws AnalysisError when `g` is inconsistent
 [[nodiscard]] std::optional<BufferCapacities> minimalDeadlockFreeCapacities(const sdf::Graph& g);
 
 }  // namespace mamps::analysis

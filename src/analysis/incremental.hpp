@@ -18,8 +18,7 @@
 // Graphs the MCR fast path cannot represent exactly keep their existing
 // path: compute() falls back to the unified computeThroughput() entry
 // point on an internally patched graph copy, so the state-space engine
-// semantics (divergence detection, auto-concurrency, step limits) are
-// untouched.
+// semantics (divergence detection, step limits) are untouched.
 #pragma once
 
 #include <cstdint>

@@ -1,18 +1,20 @@
-// The self-timed execution of a timed SDF graph under static-order
-// processor sharing: the one implementation of the firing rules, run by
-// both the state-space throughput engine (analysis/throughput.cpp,
-// after Ghamarian et al. [3]) and the platform simulator
-// (sim/platform_sim.cpp). An actor starts a firing when it is below its
-// self-concurrency limit, its resource (if bound) is idle and at this
-// actor's turn in the static order, and every input channel holds its
-// consumption rate. A start consumes the input tokens and occupies the
-// resource; the output tokens appear and the resource is released when
-// the firing completes (consume at start, produce at end).
+// The self-timed execution of an SDF graph under static-order
+// processor sharing: the one implementation of the firing rules in the
+// analysis layer and the simulator. The state-space throughput engine
+// (analysis/throughput.cpp, after Ghamarian et al. [3]), the platform
+// simulator (sim/platform_sim.cpp), the deadlock check and the buffer
+// probe (analysis/buffer.cpp) all run it. An actor starts a firing when
+// it has budget left, is below its self-concurrency limit, its resource
+// (if bound) is idle and at this actor's turn in the static order, and
+// every input channel holds its consumption rate. A start consumes the
+// input tokens, spends one unit of budget and occupies the resource;
+// the output tokens appear and the resource is released when the
+// firing completes (consume at start, produce at end).
 //
 // The cost is per event, not per instant: ongoing firings sit in a
 // min-heap of completion times, and only the actors a completion can
-// enable are re-checked (docs/throughput.md, "One executor for both
-// engines", states the invariants that make this exact).
+// enable are re-checked (docs/throughput.md, "One executor for every
+// token game", states the invariants that make this exact).
 #pragma once
 
 #include <algorithm>
@@ -36,37 +38,49 @@ namespace mamps::analysis {
 class SelfTimedExecution {
  public:
   /// The execution at cycle 0: the graph's initial tokens, nothing
-  /// firing, every static order at its first entry.
-  /// @param timed the graph and its self-concurrency limits (execution
-  ///   times are not read here: each firing's time comes from the cost
-  ///   hook of settle())
+  /// firing, every static order at its first entry, the whole budget
+  /// left.
+  /// @param graph the graph to execute (execution times are not read
+  ///   here: each firing's time comes from the cost hook of settle())
+  /// @param maxConcurrent per actor, how many firings may overlap (0 =
+  ///   unlimited); empty serializes every actor, as in
+  ///   TimedGraph::maxConcurrent
   /// @param resources the binding and static orders, already checked by
   ///   ResourceConstraints::validateFor(); null when no actor shares a
   ///   resource
-  /// @param autoConcurrency lift every self-concurrency limit
-  SelfTimedExecution(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
-                     bool autoConcurrency = false)
+  /// @param budget per actor, how many firings it may start; empty is a
+  ///   budget that never runs out
+  /// @throws AnalysisError when a non-empty `maxConcurrent` or `budget`
+  ///   does not have one entry per actor
+  SelfTimedExecution(const sdf::Graph& graph, std::span<const std::uint32_t> maxConcurrent,
+                     const ResourceConstraints* resources,
+                     std::span<const std::uint64_t> budget = {})
       : resources_(resources),
-        actorCount_(timed.graph.actorCount()),
-        channelCount_(timed.graph.channelCount()),
-        limit_(actorCount_, 0),
+        actorCount_(graph.actorCount()),
+        channelCount_(graph.channelCount()),
+        limit_(maxConcurrent.empty()
+                   ? std::vector<std::uint32_t>(actorCount_, 1)
+                   : std::vector<std::uint32_t>(maxConcurrent.begin(), maxConcurrent.end())),
         resource_(resources != nullptr
                       ? resources->actorResource
                       : std::vector<std::uint32_t>(actorCount_, ResourceConstraints::kUnbound)),
+        budget_(budget.empty()
+                    ? std::vector<std::uint64_t>(actorCount_,
+                                                 std::numeric_limits<std::uint64_t>::max())
+                    : std::vector<std::uint64_t>(budget.begin(), budget.end())),
         firstPort_(actorCount_ + 1, 0),
         firstOutput_(actorCount_, 0),
         ongoing_(actorCount_, 0),
         marked_(actorCount_, 1),
         schedulePos_(resources != nullptr ? resources->staticOrder.size() : 0, 0),
         resourceBusy_(schedulePos_.size(), 0) {
-    const sdf::Graph& graph = timed.graph;
+    if (limit_.size() != actorCount_ || budget_.size() != actorCount_) {
+      throw AnalysisError("self-timed execution: a per-actor vector has the wrong size");
+    }
     ports_.reserve(2 * channelCount_);
     worklist_.reserve(actorCount_);
     tokens_.reserve(channelCount_);
     for (sdf::ActorId a = 0; a < actorCount_; ++a) {
-      if (!autoConcurrency) {
-        limit_[a] = timed.concurrencyLimit(a);
-      }
       for (const sdf::ChannelId c : graph.actor(a).inputs) {
         ports_.push_back({c, graph.channel(c).consRate, graph.channel(c).src});
       }
@@ -149,6 +163,8 @@ class SelfTimedExecution {
 
   /// @return the tokens per channel, indexed by ChannelId
   [[nodiscard]] const std::vector<std::uint64_t>& tokens() const { return tokens_; }
+  /// @return per actor, the firings it may still start
+  [[nodiscard]] const std::vector<std::uint64_t>& budget() const { return budget_; }
   /// Append, per actor, the number of ongoing firings and then their
   /// remaining cycles in ascending order: the firing part of a state
   /// key.
@@ -209,7 +225,7 @@ class SelfTimedExecution {
   }
 
   [[nodiscard]] bool ready(sdf::ActorId a) const {
-    if (limit_[a] != 0 && ongoing_[a] >= limit_[a]) {
+    if (budget_[a] == 0 || (limit_[a] != 0 && ongoing_[a] >= limit_[a])) {
       return false;
     }
     const std::uint32_t res = resource_[a];
@@ -227,6 +243,7 @@ class SelfTimedExecution {
     for (const Port& p : inputs(a)) {
       tokens_[p.channel] -= p.rate;
     }
+    --budget_[a];
     ++ongoing_[a];
     heap_.push_back(((Completion{now_} + cost(a)) << 32) | a);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
@@ -263,6 +280,7 @@ class SelfTimedExecution {
   std::size_t channelCount_;
   std::vector<std::uint32_t> limit_;         // per actor; 0 = unlimited
   std::vector<std::uint32_t> resource_;      // per actor; kUnbound = own resource
+  std::vector<std::uint64_t> budget_;        // per actor, starts left
   std::vector<Port> ports_;                  // per actor: inputs, then outputs
   std::vector<std::uint32_t> firstPort_;     // per actor, then the end of ports_
   std::vector<std::uint32_t> firstOutput_;   // per actor

@@ -74,7 +74,7 @@ ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
   }
   const std::uint64_t divergenceThreshold = initialTotal + 64 * perIteration + 4096;
 
-  SelfTimedExecution execution(timed, resources, options.autoConcurrency);
+  SelfTimedExecution execution(graph, timed.maxConcurrent, resources);
   const auto cost = [&timed](ActorId a) { return timed.execTime[a]; };
   const auto done = [](ActorId) {};
   std::map<StateKey, Visit> seen;
@@ -163,12 +163,7 @@ void saturatingAdd(std::uint64_t& total, std::uint64_t amount) {
 /// (Shared by Auto selection and forced-Mcr validation; `reason` names
 /// the first violated precondition.)
 bool mcrRepresentable(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
-                      const ThroughputOptions& options, const std::vector<std::uint64_t>& q,
-                      const char** reason) {
-  if (options.autoConcurrency) {
-    *reason = "auto-concurrency requires the state-space engine";
-    return false;
-  }
+                      const std::vector<std::uint64_t>& q, const char** reason) {
   // Every finite self-concurrency limit (including limits > 1) is
   // encoded exactly by the HSDF expansion as a virtual k-token
   // self-edge; limit-0 actors are unconstrained. No limit forces the
@@ -241,7 +236,7 @@ ThroughputResult dispatch(const sdf::TimedGraph& timed, const ResourceConstraint
       return result;
     }
     const char* reason = nullptr;
-    const bool representable = mcrRepresentable(timed, resources, options, *qOpt, &reason);
+    const bool representable = mcrRepresentable(timed, resources, *qOpt, &reason);
     if (options.engine == ThroughputEngine::Mcr) {
       if (!representable) {
         throw AnalysisError(std::string("computeThroughput: MCR engine not applicable: ") +
@@ -278,7 +273,7 @@ bool mcrFastPathApplicable(const sdf::TimedGraph& timed, const ResourceConstrain
     *out = "inconsistent graph";
     return false;
   }
-  if (!mcrRepresentable(timed, resources, options, *qOpt, out)) {
+  if (!mcrRepresentable(timed, resources, *qOpt, out)) {
     return false;
   }
   if (hsdfSizeEstimate(timed, resources, *qOpt) > options.maxMcrHsdfSize) {

@@ -63,14 +63,13 @@ enum class ThroughputEngine {
   /// fall back to the state-space engine. The default.
   Auto,
   /// Force the state-space engine (always defined; exponential worst
-  /// case; the only engine supporting auto-concurrency and divergence
-  /// detection).
+  /// case; the only engine with divergence detection).
   StateSpace,
   /// Force the MCR fast path. computeThroughput() throws AnalysisError
   /// when the fast path cannot represent the requested semantics
-  /// (auto-concurrency, or static orders that do not cover one full
-  /// iteration). Finite self-concurrency limits — including limits
-  /// above 1 — are encoded exactly by the HSDF expansion.
+  /// (static orders that do not cover one full iteration). Every
+  /// self-concurrency limit — 0 (unlimited), 1, or above — is encoded
+  /// exactly by the HSDF expansion.
   Mcr,
 };
 
@@ -81,11 +80,6 @@ enum class ThroughputEngine {
 
 /// Tuning knobs for computeThroughput().
 struct ThroughputOptions {
-  /// Allow an actor to fire concurrently with itself. The MAMPS platform
-  /// always serializes firings of an actor on its processing element, so
-  /// the flow analyses with auto-concurrency disabled. Forces the
-  /// state-space engine under ThroughputEngine::Auto.
-  bool autoConcurrency = false;
   /// Safety cap on simulated quiescent steps before the state-space
   /// engine gives up with Status::StepLimit.
   std::uint64_t maxSteps = 10'000'000;
@@ -106,8 +100,8 @@ struct ThroughputOptions {
 
 /// Would Auto engine selection route this analysis to the MCR fast
 /// path? True when the HSDF encoding is exact for the requested
-/// semantics (no auto-concurrency; static orders, if any, cover exactly
-/// one iteration) and the estimated expansion size stays under
+/// semantics (static orders, if any, cover exactly one iteration) and
+/// the estimated expansion size stays under
 /// `options.maxMcrHsdfSize`. IncrementalThroughput uses the same
 /// predicate, so its engine choice always matches a from-scratch
 /// computeThroughput() call.

@@ -87,43 +87,33 @@ BindingAwareModel buildBindingAware(const sdf::ApplicationModel& app,
   // Capacity back-edges for the local channels. The expansion copies
   // unexpanded channels first, in their original order.
   analysis::BufferCapacities capacities(expansion.graph.graph.channelCount(), 0);
+  std::vector<ChannelId> expandedId(g.channelCount(), sdf::kInvalidChannel);
   {
-    std::size_t newId = 0;
+    ChannelId newId = 0;
     for (ChannelId c = 0; c < g.channelCount(); ++c) {
-      if (params.contains(c)) {
-        continue;
+      if (!params.contains(c)) {
+        expandedId[c] = newId;
+        capacities[newId++] = mapping.localCapacityTokens[c];
       }
-      if (!g.channel(c).isSelfEdge()) {
-        capacities[newId] = mapping.localCapacityTokens[c];
-      }
-      ++newId;
     }
   }
   BindingAwareModel out;
-  out.graph = analysis::withCapacities(expansion.graph, capacities);
+  std::vector<ChannelId> spaceEdges;
+  out.graph = analysis::withCapacities(expansion.graph, capacities, &spaceEdges);
   out.expanded = std::move(expansion.expanded);
 
-  // Record where each application channel's capacity tokens live.
-  // Inter-tile channels: the alpha back-edges of the expansion. Local
-  // channels: the space back-edges, which withCapacities appends after
-  // the expansion's channels in channel order (only bounded, non-self
-  // channels get one).
+  // Record where each application channel's capacity tokens live:
+  // inter-tile channels in the alpha back-edges of the expansion, local
+  // channels in the space back-edges withCapacities reports (none for
+  // self-edges and unbounded channels).
   out.capacityEdges.assign(g.channelCount(), {});
   for (const comm::ExpandedChannel& e : out.expanded) {
     out.capacityEdges[e.original].alphaSrc = e.alphaSrc;
     out.capacityEdges[e.original].alphaDst = e.alphaDst;
   }
-  {
-    auto spaceId = static_cast<ChannelId>(expansion.graph.graph.channelCount());
-    std::size_t newId = 0;
-    for (ChannelId c = 0; c < g.channelCount(); ++c) {
-      if (params.contains(c)) {
-        continue;
-      }
-      if (capacities[newId] != 0 && !g.channel(c).isSelfEdge()) {
-        out.capacityEdges[c].localSpace = spaceId++;
-      }
-      ++newId;
+  for (ChannelId c = 0; c < g.channelCount(); ++c) {
+    if (expandedId[c] != sdf::kInvalidChannel) {
+      out.capacityEdges[c].localSpace = spaceEdges[expandedId[c]];
     }
   }
 

@@ -1,5 +1,6 @@
 #include "mapping/flow.hpp"
 
+#include "analysis/buffer.hpp"
 #include "mapping/workload.hpp"
 #include "sdf/repetition_vector.hpp"
 
@@ -17,7 +18,7 @@ AppAnalysisCache prepareApplication(const sdf::ApplicationModel& app) {
     return cache;
   }
   cache.repetition = *q;
-  cache.deadlockFree = sdf::isDeadlockFree(app.graph());
+  cache.deadlockFree = analysis::isDeadlockFree(app.graph(), cache.repetition);
   for (ActorId a = 0; a < app.graph().actorCount(); ++a) {
     for (const sdf::ActorImplementation& impl : app.implementations(a)) {
       auto& wcet = cache.wcetByType

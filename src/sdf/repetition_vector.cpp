@@ -1,37 +1,56 @@
 #include "sdf/repetition_vector.hpp"
 
 #include <numeric>
+#include <string>
 
 #include "support/rational.hpp"
 
 namespace mamps::sdf {
+namespace {
+
+/// from · num / den, with Rational's overflow, which names nothing,
+/// rethrown as a ModelError that names the channel.
+Rational balance(const Channel& c, const Rational& from, std::uint32_t num, std::uint32_t den) {
+  try {
+    return from * Rational(num, den);
+  } catch (const Error&) {
+    throw ModelError("computeRepetitionVector: the balance of channel '" + c.name +
+                     "' overflows int64");
+  }
+}
+
+}  // namespace
 
 std::optional<std::vector<std::uint64_t>> computeRepetitionVector(const Graph& g) {
   const std::size_t n = g.actorCount();
   std::vector<Rational> q(n, Rational(0));
 
   // Propagate fractional firing rates over each weakly connected
-  // component by depth-first search, then verify every balance equation.
+  // component by depth-first search, labelling the components as they
+  // are found, then verify every balance equation.
+  std::vector<int> component(n, -1);
+  int componentCount = 0;
   std::vector<ActorId> stack;
   for (ActorId seed = 0; seed < n; ++seed) {
-    if (!q[seed].isZero()) {
+    if (component[seed] != -1) {
       continue;
     }
-    q[seed] = Rational(1);
-    stack.push_back(seed);
+    const int me = componentCount++;
+    const auto reach = [&](ActorId a, const Rational& rate) {
+      q[a] = rate;
+      component[a] = me;
+      stack.push_back(a);
+    };
+    reach(seed, Rational(1));
     while (!stack.empty()) {
       const ActorId a = stack.back();
       stack.pop_back();
       const auto propagate = [&](const Channel& c) {
         // q[src] * prod == q[dst] * cons
-        const Rational prod(static_cast<std::int64_t>(c.prodRate));
-        const Rational cons(static_cast<std::int64_t>(c.consRate));
-        if (c.src == a && q[c.dst].isZero()) {
-          q[c.dst] = q[c.src] * prod / cons;
-          stack.push_back(c.dst);
-        } else if (c.dst == a && q[c.src].isZero()) {
-          q[c.src] = q[c.dst] * cons / prod;
-          stack.push_back(c.src);
+        if (c.src == a && component[c.dst] == -1) {
+          reach(c.dst, balance(c, q[c.src], c.prodRate, c.consRate));
+        } else if (c.dst == a && component[c.src] == -1) {
+          reach(c.src, balance(c, q[c.dst], c.consRate, c.prodRate));
         }
       };
       for (const ChannelId cid : g.actor(a).outputs) {
@@ -44,56 +63,30 @@ std::optional<std::vector<std::uint64_t>> computeRepetitionVector(const Graph& g
   }
 
   for (const Channel& c : g.channels()) {
-    const Rational lhs = q[c.src] * Rational(static_cast<std::int64_t>(c.prodRate));
-    const Rational rhs = q[c.dst] * Rational(static_cast<std::int64_t>(c.consRate));
-    if (!(lhs == rhs)) {
+    if (balance(c, q[c.src], c.prodRate, 1) != balance(c, q[c.dst], c.consRate, 1)) {
       return std::nullopt;  // inconsistent
     }
   }
 
   // Scale each connected component independently to smallest integers:
   // multiply by the lcm of denominators, then divide by the gcd.
-  // Identify components again (undirected reachability).
-  std::vector<int> component(n, -1);
-  int componentCount = 0;
-  for (ActorId seed = 0; seed < n; ++seed) {
-    if (component[seed] != -1) {
-      continue;
-    }
-    const int me = componentCount++;
-    component[seed] = me;
-    stack.push_back(seed);
-    while (!stack.empty()) {
-      const ActorId a = stack.back();
-      stack.pop_back();
-      const auto visit = [&](const Channel& c) {
-        const ActorId other = (c.src == a) ? c.dst : c.src;
-        if (component[other] == -1) {
-          component[other] = me;
-          stack.push_back(other);
-        }
-      };
-      for (const ChannelId cid : g.actor(a).outputs) {
-        visit(g.channel(cid));
-      }
-      for (const ChannelId cid : g.actor(a).inputs) {
-        visit(g.channel(cid));
-      }
-    }
-  }
-
   std::vector<std::int64_t> lcmDen(static_cast<std::size_t>(componentCount), 1);
-  for (ActorId a = 0; a < n; ++a) {
-    auto& l = lcmDen[static_cast<std::size_t>(component[a])];
-    l = checkedLcm(l, q[a].den());
-  }
   std::vector<std::uint64_t> out(n, 0);
   std::vector<std::uint64_t> gcdNum(static_cast<std::size_t>(componentCount), 0);
-  for (ActorId a = 0; a < n; ++a) {
-    const Rational scaled = q[a] * Rational(lcmDen[static_cast<std::size_t>(component[a])]);
-    out[a] = static_cast<std::uint64_t>(scaled.num());
-    auto& gnum = gcdNum[static_cast<std::size_t>(component[a])];
-    gnum = std::gcd(gnum, out[a]);
+  try {
+    for (ActorId a = 0; a < n; ++a) {
+      auto& l = lcmDen[static_cast<std::size_t>(component[a])];
+      l = checkedLcm(l, q[a].den());
+    }
+    for (ActorId a = 0; a < n; ++a) {
+      const Rational scaled = q[a] * Rational(lcmDen[static_cast<std::size_t>(component[a])]);
+      out[a] = static_cast<std::uint64_t>(scaled.num());
+      auto& gnum = gcdNum[static_cast<std::size_t>(component[a])];
+      gnum = std::gcd(gnum, out[a]);
+    }
+  } catch (const Error&) {
+    throw ModelError("computeRepetitionVector: the integer scaling of graph '" + g.name() +
+                     "' overflows int64");
   }
   for (ActorId a = 0; a < n; ++a) {
     out[a] /= gcdNum[static_cast<std::size_t>(component[a])];
@@ -102,56 +95,5 @@ std::optional<std::vector<std::uint64_t>> computeRepetitionVector(const Graph& g
 }
 
 bool isConsistent(const Graph& g) { return computeRepetitionVector(g).has_value(); }
-
-bool isDeadlockFree(const Graph& g) {
-  const auto qOpt = computeRepetitionVector(g);
-  if (!qOpt) {
-    throw AnalysisError("isDeadlockFree: graph '" + g.name() + "' is inconsistent");
-  }
-  const auto& q = *qOpt;
-  std::vector<std::uint64_t> tokens(g.channelCount());
-  for (std::size_t c = 0; c < g.channelCount(); ++c) {
-    tokens[c] = g.channel(static_cast<ChannelId>(c)).initialTokens;
-  }
-  std::vector<std::uint64_t> remaining(q.begin(), q.end());
-
-  // Fire any enabled actor until all firings of the iteration are done
-  // or no actor can fire. Termination: each pass fires at least one
-  // actor or exits; total firings are bounded by sum(q).
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (ActorId a = 0; a < g.actorCount(); ++a) {
-      if (remaining[a] == 0) {
-        continue;
-      }
-      const Actor& actor = g.actor(a);
-      bool ready = true;
-      for (const ChannelId c : actor.inputs) {
-        if (tokens[c] < g.channel(c).consRate) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) {
-        continue;
-      }
-      for (const ChannelId c : actor.inputs) {
-        tokens[c] -= g.channel(c).consRate;
-      }
-      for (const ChannelId c : actor.outputs) {
-        tokens[c] += g.channel(c).prodRate;
-      }
-      --remaining[a];
-      progress = true;
-    }
-  }
-  for (const std::uint64_t r : remaining) {
-    if (r != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace mamps::sdf

@@ -19,16 +19,15 @@ namespace mamps::sdf {
 /// The smallest positive integer repetition vector, or nullopt when the
 /// graph is inconsistent. Disconnected graphs are solved per weakly
 /// connected component; each component is scaled independently to the
-/// smallest integers. Actors with no channels get q == 1.
+/// smallest integers. Actors with no channels get q == 1. The deadlock
+/// check, which plays one iteration, lives in analysis/buffer.hpp.
+/// @throws ModelError when a firing rate or balance product overflows
+///   int64 (naming the channel) or the integer scaling does (naming the
+///   graph)
 [[nodiscard]] std::optional<std::vector<std::uint64_t>> computeRepetitionVector(const Graph& g);
 
 /// True when the balance equations have a solution.
+/// @throws ModelError as computeRepetitionVector()
 [[nodiscard]] bool isConsistent(const Graph& g);
-
-/// Deadlock check: simulates one iteration with token counting only
-/// (execution times are irrelevant for deadlock in SDF). Returns true
-/// when every actor can complete its q firings. Throws AnalysisError for
-/// inconsistent graphs.
-[[nodiscard]] bool isDeadlockFree(const Graph& g);
 
 }  // namespace mamps::sdf

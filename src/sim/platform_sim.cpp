@@ -99,7 +99,8 @@ class Engine {
       : impl_(impl),
         options_(options),
         originalActors_(impl.app.graph().actorCount()),
-        execution_(impl.model.graph, &impl.model.resources) {
+        execution_(impl.model.graph.graph, impl.model.graph.maxConcurrent,
+                   &impl.model.resources) {
     pendingOutputs_.resize(originalActors_);
 
     // Payload queues per original explicit channel; initial tokens get

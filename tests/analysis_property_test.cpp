@@ -90,7 +90,7 @@ TEST_P(RandomGraphProperty, RepetitionVectorIsMinimal) {
 TEST_P(RandomGraphProperty, GeneratedGraphsAreLive) {
   Rng rng = makeRng(2000);
   const Graph g = test::randomConsistentGraph(rng);
-  EXPECT_TRUE(sdf::isDeadlockFree(g));
+  EXPECT_TRUE(test::isDeadlockFree(g));
 }
 
 TEST_P(RandomGraphProperty, OneIterationRestoresInitialTokens) {
@@ -370,7 +370,7 @@ TEST_P(RandomGraphProperty, MinimalCapacitiesPreserveLiveness) {
   const Graph g = test::randomConsistentGraph(rng);
   const auto capacities = minimalDeadlockFreeCapacities(g);
   ASSERT_TRUE(capacities.has_value());
-  EXPECT_TRUE(sdf::isDeadlockFree(withCapacities(g, *capacities)));
+  EXPECT_TRUE(test::isDeadlockFree(withCapacities(g, *capacities)));
 }
 
 TEST_P(RandomGraphProperty, BoundedThroughputNeverExceedsUnbounded) {

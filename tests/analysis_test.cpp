@@ -152,18 +152,17 @@ TEST(ThroughputTest, MultiRatePipelineMatchesHandComputation) {
 
 TEST(ThroughputTest, AutoConcurrencyAllowsUnboundedSourceOverlap) {
   // A source without input constraints can overlap itself infinitely
-  // when auto-concurrency is enabled: unbounded throughput.
+  // when its self-concurrency is unlimited: unbounded throughput.
   Graph g = test::pipelineGraph(2, 1);
-  const TimedGraph timed{std::move(g), {10, 6}};
-  ThroughputOptions options;
-  options.autoConcurrency = true;
-  EXPECT_EQ(computeThroughput(timed, options).status, ThroughputResult::Status::Unbounded);
+  TimedGraph timed{std::move(g), {10, 6}};
+  timed.maxConcurrent = {0, 0};
+  EXPECT_EQ(computeThroughput(timed).status, ThroughputResult::Status::Unbounded);
 }
 
 TEST(ThroughputTest, AutoConcurrencyRaisesThroughput) {
   // Same bounded pipeline: the sink's two firings per iteration overlap
-  // when auto-concurrency is on (period 16), but serialize when it is
-  // off (period 22).
+  // when self-concurrency is unlimited (period 16), but serialize when
+  // every actor is serialized (period 22).
   const auto makeTimed = [] {
     Graph g;
     const auto src = g.addActor("src");
@@ -176,9 +175,9 @@ TEST(ThroughputTest, AutoConcurrencyRaisesThroughput) {
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial.iterationsPerCycle, Rational(1, 22));
 
-  ThroughputOptions options;
-  options.autoConcurrency = true;
-  const auto overlapped = computeThroughput(withCapacities(makeTimed(), {2, 0}), options);
+  TimedGraph unlimited = withCapacities(makeTimed(), {2, 0});
+  unlimited.maxConcurrent = {0, 0};
+  const auto overlapped = computeThroughput(unlimited);
   ASSERT_TRUE(overlapped.ok());
   EXPECT_EQ(overlapped.iterationsPerCycle, Rational(1, 16));
 }
@@ -390,22 +389,6 @@ TEST(EngineDispatchTest, AutoPicksMcrAndMatchesStateSpace) {
   EXPECT_EQ(viaAuto.iterationsPerCycle, viaStateSpace.iterationsPerCycle);
 }
 
-TEST(EngineDispatchTest, AutoConcurrencyFallsBackToStateSpace) {
-  const sdf::TimedGraph timed{test::ringGraph(3), {1, 2, 3}};
-  ThroughputOptions options;
-  options.autoConcurrency = true;
-  const auto result = computeThroughput(timed, options);
-  EXPECT_EQ(result.engine, ThroughputEngine::StateSpace);
-}
-
-TEST(EngineDispatchTest, ForcedMcrRejectsAutoConcurrency) {
-  const sdf::TimedGraph timed{test::ringGraph(3), {1, 2, 3}};
-  ThroughputOptions options;
-  options.engine = ThroughputEngine::Mcr;
-  options.autoConcurrency = true;
-  EXPECT_THROW((void)computeThroughput(timed, options), AnalysisError);
-}
-
 TEST(EngineDispatchTest, ExpansionSizeCapFallsBackToStateSpace) {
   const sdf::TimedGraph timed{test::ringGraph(3), {1, 2, 3}};
   ThroughputOptions options;
@@ -594,14 +577,63 @@ TEST(HsdfEdgeCaseTest, PureSelfLoopActor) {
   EXPECT_EQ(mcr.iterationsPerCycle, Rational(1, 9));  // serialized by the seq constraint
 }
 
+// ---------------------------------------------------------------- Deadlock
+
+TEST(DeadlockTest, Figure2IsLive) { EXPECT_TRUE(test::isDeadlockFree(test::figure2Graph())); }
+
+TEST(DeadlockTest, TokenlessRingDeadlocks) {
+  Graph g;
+  const auto a = g.addActor("a");
+  const auto b = g.addActor("b");
+  g.connect(a, 1, b, 1);
+  g.connect(b, 1, a, 1);  // no initial tokens anywhere
+  EXPECT_FALSE(test::isDeadlockFree(g));
+}
+
+TEST(DeadlockTest, RingWithTokenIsLive) { EXPECT_TRUE(test::isDeadlockFree(test::ringGraph(4))); }
+
+TEST(DeadlockTest, SelfEdgeWithoutTokenDeadlocks) {
+  Graph g;
+  const auto a = g.addActor("a");
+  g.connect(a, 1, a, 1, 0);
+  EXPECT_FALSE(test::isDeadlockFree(g));
+}
+
+TEST(DeadlockTest, MultiRateCycleNeedsEnoughTokens) {
+  Graph g;
+  const auto a = g.addActor("a");
+  const auto b = g.addActor("b");
+  g.connect(a, 2, b, 3);
+  g.connect(b, 3, a, 2, 1);  // one token is not enough for a to fire (needs 2)
+  EXPECT_FALSE(test::isDeadlockFree(g));
+
+  Graph g2;
+  const auto a2 = g2.addActor("a");
+  const auto b2 = g2.addActor("b");
+  g2.connect(a2, 2, b2, 3);
+  g2.connect(b2, 3, a2, 2, 6);
+  EXPECT_TRUE(test::isDeadlockFree(g2));
+}
+
+TEST(DeadlockTest, RepetitionVectorOfTheWrongSizeThrows) {
+  // An empty vector too: as the executor's budget it would never run
+  // out, and a live ring would fire forever.
+  for (const std::vector<std::uint64_t>& q : {std::vector<std::uint64_t>{1, 1},
+                                              std::vector<std::uint64_t>{}}) {
+    EXPECT_THROW((void)isDeadlockFree(test::ringGraph(3), q), AnalysisError) << q.size();
+  }
+}
+
 // ------------------------------------------------------------------ Buffer
 
 TEST(BufferTest, WithCapacitiesAddsBackEdges) {
   const Graph g = test::pipelineGraph(2, 3);
-  const Graph capped = withCapacities(g, {6});
+  std::vector<sdf::ChannelId> spaceEdges;
+  const Graph capped = withCapacities(g, {6}, &spaceEdges);
   EXPECT_EQ(capped.channelCount(), 2u);
   const auto space = capped.findChannel("link_space");
   ASSERT_TRUE(space.has_value());
+  EXPECT_EQ(spaceEdges, std::vector<sdf::ChannelId>{*space});
   EXPECT_EQ(capped.channel(*space).initialTokens, 6u);
   EXPECT_EQ(capped.channel(*space).prodRate, 3u);
   EXPECT_EQ(capped.channel(*space).consRate, 2u);
@@ -667,8 +699,10 @@ TEST(BufferTest, SelfEdgesAreNeverCapacitated) {
   Graph g;
   const auto a = g.addActor("a");
   g.connect(a, 1, a, 1, 1);
-  const Graph capped = withCapacities(g, {4});
+  std::vector<sdf::ChannelId> spaceEdges;
+  const Graph capped = withCapacities(g, {4}, &spaceEdges);
   EXPECT_EQ(capped.channelCount(), 1u);
+  EXPECT_EQ(spaceEdges, std::vector<sdf::ChannelId>{sdf::kInvalidChannel});
 }
 
 TEST(BufferTest, CapacityBelowInitialTokensThrows) {
@@ -697,7 +731,7 @@ TEST(BufferTest, MinimalCapacitiesKeepGraphLive) {
   const Graph g = test::figure2Graph();
   const auto capacities = minimalDeadlockFreeCapacities(g);
   ASSERT_TRUE(capacities.has_value());
-  EXPECT_TRUE(sdf::isDeadlockFree(withCapacities(g, *capacities)));
+  EXPECT_TRUE(test::isDeadlockFree(withCapacities(g, *capacities)));
 }
 
 TEST(BufferTest, MinimalCapacitiesOfPipeline) {
@@ -705,7 +739,7 @@ TEST(BufferTest, MinimalCapacitiesOfPipeline) {
   const auto capacities = minimalDeadlockFreeCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   EXPECT_GE((*capacities)[0], 4u);
-  EXPECT_TRUE(sdf::isDeadlockFree(withCapacities(g, *capacities)));
+  EXPECT_TRUE(test::isDeadlockFree(withCapacities(g, *capacities)));
 }
 
 TEST(BufferTest, DeadlockedGraphHasNoCapacities) {
@@ -772,13 +806,13 @@ TEST(IncrementalTest, DetectsDeadlockAfterTokenRemoval) {
   EXPECT_TRUE(incremental.compute().ok());
 }
 
-TEST(IncrementalTest, AutoConcurrencyFallsBackToStateSpace) {
+TEST(IncrementalTest, OversizedExpansionFallsBackToStateSpace) {
   Graph g;
   const auto a = g.addActor("a");
   g.connect(a, 1, a, 1, 3, "state");
   const TimedGraph timed{std::move(g), {5}};
   ThroughputOptions options;
-  options.autoConcurrency = true;
+  options.maxMcrHsdfSize = 1;  // every expansion exceeds this
   IncrementalThroughput incremental(timed, nullptr, options);
   EXPECT_FALSE(incremental.onFastPath());
   const auto viaContext = incremental.compute();
@@ -876,8 +910,9 @@ std::ostream& operator<<(std::ostream& out, const StateSpaceGolden& golden) {
 /// The corpus: seeded random graphs (0-20 cycles per actor, a fifth of
 /// them not provisioned to be live) run by the forced state-space engine
 /// plain, capacitated to their minimal deadlock-free buffers,
-/// capacitated with a 16-state store, and capacitated with
-/// auto-concurrency; then random static-order rings, forced and Auto.
+/// capacitated with a 16-state store, and capacitated with every
+/// self-concurrency limit lifted; then random static-order rings,
+/// forced and Auto.
 std::vector<StateSpaceGolden> exploreStateSpaceCorpus() {
   std::vector<StateSpaceGolden> table = {{"plain"},
                                          {"capacitated"},
@@ -889,8 +924,6 @@ std::vector<StateSpaceGolden> exploreStateSpaceCorpus() {
   forced.engine = ThroughputEngine::StateSpace;
   ThroughputOptions store16 = forced;
   store16.maxStoredStates = 16;
-  ThroughputOptions autoConcurrency = forced;
-  autoConcurrency.autoConcurrency = true;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     Rng rng(seed * 7907);
     test::RandomGraphOptions opt;
@@ -907,7 +940,9 @@ std::vector<StateSpaceGolden> exploreStateSpaceCorpus() {
     const TimedGraph capacitated = withCapacities(plain, *capacities);
     table[1].add(computeThroughput(capacitated, forced));
     table[2].add(computeThroughput(capacitated, store16));
-    table[3].add(computeThroughput(capacitated, autoConcurrency));
+    TimedGraph unlimited = capacitated;
+    unlimited.maxConcurrent.assign(unlimited.graph.actorCount(), 0);
+    table[3].add(computeThroughput(unlimited, forced));
   }
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 104729);
@@ -936,6 +971,47 @@ TEST(StateSpaceGoldenTest, CorpusMatchesPinnedVerdicts) {
   for (std::size_t i = 0; i < table.size(); ++i) {
     EXPECT_EQ(table[i], pinned[i]);
   }
+}
+
+// ------------------------------------------------------ Token-game golden
+
+/// The deadlock check and the capacity probe over seeded random
+/// consistent graphs (2-8 actors, q up to 6, a third of them not
+/// provisioned to be live): the number of live graphs, and a digest of
+/// every deadlock verdict and every minimalDeadlockFreeCapacities()
+/// result (absent, or the vector), in corpus order.
+TEST(TokenGameGoldenTest, CorpusMatchesPinnedVerdictsAndCapacities) {
+  std::uint64_t live = 0;
+  test::Fnv1a fnv;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed * 6151);
+    test::RandomGraphOptions opt;
+    opt.maxActors = 8;
+    opt.maxQ = 6;
+    opt.ensureLive = !rng.chance(1.0 / 3.0);
+    const Graph g = test::randomConsistentGraph(rng, opt);
+    const bool deadlockFree = test::isDeadlockFree(g);
+    live += deadlockFree ? 1 : 0;
+    fnv.mix(deadlockFree ? 1 : 0);
+    const auto capacities = minimalDeadlockFreeCapacities(g);
+    if (!capacities) {
+      fnv.mix(std::numeric_limits<std::uint64_t>::max());
+      continue;
+    }
+    fnv.mix(capacities->size());
+    for (const std::uint64_t capacity : *capacities) {
+      fnv.mix(capacity);
+    }
+  }
+  EXPECT_EQ(live, 1540u);
+  EXPECT_EQ(fnv.hash, 0x2a9477486ebd47e7u);
+}
+
+TEST(TokenGameGoldenTest, IterationLongerThanTheLivelockBoundIsLive) {
+  // One iteration is 5,001 firings, more than the 4,480 starts plus
+  // retirements the executor allows in one instant of this graph: a
+  // token game of zero-time firings would stop short of it.
+  EXPECT_TRUE(test::isDeadlockFree(test::pipelineGraph(5000, 1)));
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ TEST(ExpansionTest, ExpandedGraphIsConsistentAndLive) {
   const ChannelId fwd = *timed.graph.findChannel("fwd");
   const CommExpansion result = expandChannels(timed, {{fwd, basicParams(2)}});
   EXPECT_TRUE(sdf::isConsistent(result.graph.graph));
-  EXPECT_TRUE(sdf::isDeadlockFree(result.graph.graph));
+  EXPECT_TRUE(test::isDeadlockFree(result.graph.graph));
 }
 
 TEST(ExpansionTest, InitialTokensLandInSourceBuffer) {

@@ -373,6 +373,19 @@ TEST(FlowTest, BufferGrowthThatWouldWrapThrows) {
   }
 }
 
+TEST(FlowTest, OverflowingRepetitionVectorIsAModelError) {
+  // Rates of 2^31 - 1 along a four-actor chain give q_d = (2^31 - 1)^3.
+  sdf::Graph g("hostile");
+  for (const char* name : {"a", "b", "c", "d"}) {
+    g.addActor(name);
+  }
+  for (sdf::ActorId a = 0; a < 3; ++a) {
+    g.connect(a, 0x7fffffff, a + 1, 1);
+  }
+  const ApplicationModel app = test::makeAppModel(std::move(g), {100});
+  EXPECT_THROW((void)prepareApplication(app), ModelError);
+}
+
 TEST(FlowTest, MoreTilesDoNotHurtThroughput) {
   const ApplicationModel app = test::makeAppModel(test::figure2Graph(), {500, 800, 400});
   const auto one = mapApplication(app, makeArch(1, InterconnectKind::Fsl), {});

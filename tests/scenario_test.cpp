@@ -20,6 +20,7 @@
 #include "sdf/io.hpp"
 #include "sdf/repetition_vector.hpp"
 #include "sim/platform_sim.hpp"
+#include "test_util.hpp"
 
 namespace mamps::suite {
 namespace {
@@ -43,7 +44,7 @@ TEST(ScenarioSuiteTest, RegistryIsStableAndValid) {
     EXPECT_GE(s.platforms.size(), 2u);
     s.model.validate();
     EXPECT_TRUE(sdf::computeRepetitionVector(s.model.graph()).has_value());
-    EXPECT_TRUE(sdf::isDeadlockFree(s.model.graph()));
+    EXPECT_TRUE(test::isDeadlockFree(s.model.graph()));
     EXPECT_TRUE(s.model.graph().isConnected());
   }
 }
@@ -96,7 +97,7 @@ TEST(SyntheticGeneratorTest, AllTopologiesAreConsistentAndLive) {
       const auto model = buildSynthetic(options);
       model.validate();
       EXPECT_TRUE(sdf::computeRepetitionVector(model.graph()).has_value());
-      EXPECT_TRUE(sdf::isDeadlockFree(model.graph()));
+      EXPECT_TRUE(test::isDeadlockFree(model.graph()));
       EXPECT_TRUE(model.graph().isConnected());
     }
   }

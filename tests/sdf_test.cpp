@@ -1,6 +1,8 @@
 // Unit tests for the SDF core: graph construction, repetition vectors,
-// deadlock analysis, HSDF conversion, the application model, and XML I/O.
+// HSDF conversion, the application model, and XML I/O.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "sdf/app_model.hpp"
 #include "hsdf_oracle.hpp"
@@ -181,42 +183,41 @@ TEST(RepetitionVectorTest, MjpegShapedRates) {
   EXPECT_EQ((*q)[1], 10u);
 }
 
-// ---------------------------------------------------------------- Deadlock
-
-TEST(DeadlockTest, Figure2IsLive) { EXPECT_TRUE(isDeadlockFree(test::figure2Graph())); }
-
-TEST(DeadlockTest, TokenlessRingDeadlocks) {
-  Graph g;
+TEST(RepetitionVectorTest, OverflowNamesTheChannel) {
+  // q = [1, r, r^2, r^3] with r = 2^31 - 1: r^2 still fits int64, r^3
+  // does not.
+  Graph g("hostile");
+  const std::uint32_t r = 0x7fffffff;
   const auto a = g.addActor("a");
   const auto b = g.addActor("b");
-  g.connect(a, 1, b, 1);
-  g.connect(b, 1, a, 1);  // no initial tokens anywhere
-  EXPECT_FALSE(isDeadlockFree(g));
+  const auto c = g.addActor("c");
+  const auto d = g.addActor("d");
+  g.connect(a, r, b, 1, 0, "ab");
+  g.connect(b, r, c, 1, 0, "bc");
+  g.connect(c, r, d, 1, 0, "cd");
+  try {
+    (void)computeRepetitionVector(g);
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("'cd'"), std::string::npos) << e.what();
+  }
 }
 
-TEST(DeadlockTest, RingWithTokenIsLive) { EXPECT_TRUE(isDeadlockFree(test::ringGraph(4))); }
-
-TEST(DeadlockTest, SelfEdgeWithoutTokenDeadlocks) {
-  Graph g;
-  const auto a = g.addActor("a");
-  g.connect(a, 1, a, 1, 0);
-  EXPECT_FALSE(isDeadlockFree(g));
-}
-
-TEST(DeadlockTest, MultiRateCycleNeedsEnoughTokens) {
-  Graph g;
+TEST(RepetitionVectorTest, ScalingOverflowNamesTheGraph) {
+  // q = [1, 1/m, 1/n] with coprime m, n near 2^32: each count fits, but
+  // their common denominator m·n does not.
+  Graph g("hostile");
   const auto a = g.addActor("a");
   const auto b = g.addActor("b");
-  g.connect(a, 2, b, 3);
-  g.connect(b, 3, a, 2, 1);  // one token is not enough for a to fire (needs 2)
-  EXPECT_FALSE(isDeadlockFree(g));
-
-  Graph g2;
-  const auto a2 = g2.addActor("a");
-  const auto b2 = g2.addActor("b");
-  g2.connect(a2, 2, b2, 3);
-  g2.connect(b2, 3, a2, 2, 6);
-  EXPECT_TRUE(isDeadlockFree(g2));
+  const auto c = g.addActor("c");
+  g.connect(a, 1, b, 0xffffffff, 0, "ab");
+  g.connect(a, 1, c, 0xfffffffd, 0, "ac");
+  try {
+    (void)computeRepetitionVector(g);
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("'hostile'"), std::string::npos) << e.what();
+  }
 }
 
 // -------------------------------------------------------------------- HSDF
@@ -269,7 +270,7 @@ TEST(HsdfTest, HsdfIsConsistentAndLiveForLiveInput) {
   TimedGraph timed{test::figure2Graph(), {5, 3, 2}};
   const test::HsdfExpansion expansion = test::toHsdf(timed);
   EXPECT_TRUE(isConsistent(expansion.hsdf.graph));
-  EXPECT_TRUE(isDeadlockFree(expansion.hsdf.graph));
+  EXPECT_TRUE(test::isDeadlockFree(expansion.hsdf.graph));
 }
 
 // -------------------------------------------------------- ApplicationModel

@@ -478,7 +478,7 @@ std::ostream& operator<<(std::ostream& out, const ExecutorRun& run) {
 ExecutorRun executeGolden(std::string label, const sdf::TimedGraph& timed,
                           const analysis::ResourceConstraints& resources) {
   const std::uint64_t endFirings = 10 * (*sdf::computeRepetitionVector(timed.graph))[0];
-  analysis::SelfTimedExecution execution(timed, &resources);
+  analysis::SelfTimedExecution execution(timed.graph, timed.maxConcurrent, &resources);
   test::Fnv1a digest;
   const auto record = [&](sdf::ActorId a, std::uint64_t kind) {
     digest.mix(execution.now());

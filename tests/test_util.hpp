@@ -8,9 +8,11 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/buffer.hpp"
 #include "analysis/throughput.hpp"
 #include "sdf/app_model.hpp"
 #include "sdf/graph.hpp"
+#include "sdf/repetition_vector.hpp"
 #include "support/rng.hpp"
 
 namespace mamps::test {
@@ -111,6 +113,12 @@ inline sdf::Graph randomConsistentGraph(Rng& rng, const RandomGraphOptions& opt 
     addChannel(from, to);
   }
   return g;
+}
+
+/// The deadlock check of a consistent graph, with its repetition vector
+/// computed here.
+inline bool isDeadlockFree(const sdf::Graph& g) {
+  return analysis::isDeadlockFree(g, sdf::computeRepetitionVector(g).value());
 }
 
 /// A complete application model around a graph: one "microblaze"
