@@ -77,8 +77,9 @@ BENCHMARK(BM_StateSpaceThroughput)->Args({4, 1})->Args({8, 2})->Args({16, 4})->A
 void BM_McrThroughput(benchmark::State& state) {
   const auto timed = makeRing(static_cast<std::uint32_t>(state.range(0)),
                               static_cast<std::uint64_t>(state.range(1)), 42);
+  const analysis::ThroughputOptions options{.engine = analysis::ThroughputEngine::Mcr};
   for (auto _ : state) {
-    const auto result = analysis::computeThroughputMcr(timed);
+    const auto result = analysis::computeThroughput(timed, options);
     benchmark::DoNotOptimize(result.iterationsPerCycle);
   }
 }

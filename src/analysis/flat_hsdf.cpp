@@ -1,11 +1,9 @@
 #include "analysis/flat_hsdf.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 
 #include "sdf/hsdf.hpp"
-#include "sdf/repetition_vector.hpp"
 #include "support/timer.hpp"
 
 namespace mamps::analysis {
@@ -16,16 +14,29 @@ using sdf::ChannelId;
 
 constexpr auto kInt64Max = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
 
-void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraints* resources) {
+bool FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+                          const std::vector<std::uint64_t>& q) {
   const sdf::Graph& g = timed.graph;
-  if (timed.execTime.size() != g.actorCount()) {
-    throw AnalysisError("FlatExpansion: execTime size does not match actor count");
+  // The static-order encoding maps the j-th appearance of an actor to
+  // its firing copy j, so it is only exact when every bound actor
+  // appears exactly q[a] times, each time on its own resource.
+  if (resources != nullptr) {
+    std::vector<std::uint64_t> appearances(g.actorCount(), 0);
+    for (std::size_t r = 0; r < resources->staticOrder.size(); ++r) {
+      for (const ActorId a : resources->staticOrder[r]) {
+        if (resources->actorResource[a] != r) {
+          return false;
+        }
+        ++appearances[a];
+      }
+    }
+    for (ActorId a = 0; a < g.actorCount(); ++a) {
+      if (resources->actorResource[a] != ResourceConstraints::kUnbound && appearances[a] != q[a]) {
+        return false;
+      }
+    }
   }
-  const auto qOpt = sdf::computeRepetitionVector(g);
-  if (!qOpt) {
-    throw AnalysisError("FlatExpansion: graph '" + g.name() + "' is inconsistent");
-  }
-  q_ = *qOpt;
+  q_ = q;
 
   copyStart_.resize(g.actorCount());
   hsdfActors_ = 0;
@@ -76,39 +87,14 @@ void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraint
 
   // Static-order chains: the j-th appearance of an actor is its firing
   // copy j; consecutive appearances are linked, the wrap-around edge
-  // carries one token. The encoding is only exact when every bound
-  // actor appears exactly q[a] times on its own resource — validated
-  // here.
+  // carries one token.
   if (resources != nullptr) {
-    resources->validateFor(g);
-    std::vector<std::uint64_t> appearance(g.actorCount(), 0);
-    for (std::size_t r = 0; r < resources->staticOrder.size(); ++r) {
-      const auto& order = resources->staticOrder[r];
-      if (order.empty()) {
-        continue;
-      }
-      std::fill(appearance.begin(), appearance.end(), 0);
+    std::vector<std::uint32_t> nextCopy = copyStart_;  // actor -> its next unlisted copy
+    for (const auto& order : resources->staticOrder) {
       std::vector<std::uint32_t> chain;
       chain.reserve(order.size());
       for (const ActorId a : order) {
-        if (resources->actorResource[a] != r) {
-          throw AnalysisError("FlatExpansion: actor " + g.actor(a).name +
-                              " is scheduled on a resource it is not bound to");
-        }
-        const std::uint64_t j = appearance[a]++;
-        if (j >= q_[a]) {
-          throw AnalysisError("FlatExpansion: actor " + g.actor(a).name +
-                              " appears more often than its repetition count");
-        }
-        chain.push_back(copyStart_[a] + static_cast<std::uint32_t>(j));
-      }
-      for (ActorId a = 0; a < g.actorCount(); ++a) {
-        if (resources->actorResource[a] == r && appearance[a] != q_[a]) {
-          throw AnalysisError("FlatExpansion: actor " + g.actor(a).name + " appears " +
-                              std::to_string(appearance[a]) +
-                              " times in its static order, expected q = " +
-                              std::to_string(q_[a]));
-        }
+        chain.push_back(nextCopy[a]++);
       }
       for (std::size_t i = 0; i < chain.size(); ++i) {
         const std::size_t next = (i + 1) % chain.size();
@@ -121,6 +107,7 @@ void FlatExpansion::build(const sdf::TimedGraph& timed, const ResourceConstraint
       }
     }
   }
+  return true;
 }
 
 void FlatExpansion::patchChannel(const sdf::TimedGraph& timed, ChannelId channel) {

@@ -16,9 +16,11 @@
 // encoded once in build(); every SDF channel owns a contiguous slab of
 // token edges whose endpoints and delays depend on the channel's
 // initial-token count, re-encoded in O(slab) by patchChannel() when a
-// capacity changes. Both computeThroughputMcr() (build once, solve
-// once) and IncrementalThroughput (build once, patch and re-solve per
-// buffer-growth round) run on this structure and share solveExpansion().
+// capacity changes. The engine decision in analysis/throughput.cpp
+// builds it for computeThroughput() (build once, solve once) and for
+// IncrementalThroughput (build once, patch and re-solve per
+// buffer-growth round); both turn it into a verdict with
+// solveExpansion().
 #pragma once
 
 #include <cstdint>
@@ -37,16 +39,20 @@ namespace mamps::analysis {
 class FlatExpansion {
  public:
   /// Encode the expansion of `timed` (channel token slabs, then
-  /// self-concurrency edges, then static-order chains). The graph must
-  /// be consistent; static orders, when given, must be exact (every
-  /// bound actor appears exactly q[a] times on its own resource), which
-  /// is what mcrFastPathApplicable() checks.
+  /// self-concurrency edges, then static-order chains). The static
+  /// orders are checked first, before anything is laid out: the
+  /// encoding is exact only when every bound actor appears exactly
+  /// q[a] times, each time on its own resource.
   /// @param timed the SDF graph with one execution time per actor
-  /// @param resources optional binding and static orders (may be null)
-  /// @throws AnalysisError when the graph is inconsistent, a static
-  ///   order is not exact, or an execution time or edge delay exceeds
+  /// @param resources optional binding and static orders (may be null),
+  ///   already checked by ResourceConstraints::validateFor()
+  /// @param q the repetition vector of `timed.graph`
+  /// @return false, with nothing built, when a static order is not
+  ///   exact; true otherwise
+  /// @throws AnalysisError when an execution time or edge delay exceeds
   ///   INT64_MAX
-  void build(const sdf::TimedGraph& timed, const ResourceConstraints* resources);
+  [[nodiscard]] bool build(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+                           const std::vector<std::uint64_t>& q);
 
   /// Re-encode one channel's token slab after its initial-token count
   /// changed in `timed`. O(q[dst] * consRate) of the channel.

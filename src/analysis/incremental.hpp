@@ -15,10 +15,12 @@
 // computeThroughput() call on the patched graph (pinned by the
 // randomized properties in tests/analysis_property_test.cpp).
 //
-// Graphs the MCR fast path cannot represent exactly keep their existing
-// path: compute() falls back to the unified computeThroughput() entry
-// point on an internally patched graph copy, so the state-space engine
-// semantics (divergence detection, step limits) are untouched.
+// The constructor makes computeThroughput()'s engine decision once,
+// through the same function (analysis/throughput.cpp): tokens change
+// none of its inputs. When the MCR engine does not apply, every
+// compute() runs the state-space engine directly on the internally
+// patched graph copy, so its semantics (divergence detection, step
+// limits) are untouched.
 #pragma once
 
 #include <cstdint>
@@ -37,11 +39,13 @@ namespace mamps::analysis {
 /// initial-token counts (channel capacities) change between queries.
 class IncrementalThroughput {
  public:
-  /// Build the context. When the MCR fast path is exact for the
-  /// requested semantics (see mcrFastPathApplicable), the HSDF
-  /// expansion layout and static-order encoding are precomputed here;
-  /// otherwise every compute() runs the unified entry point on the
-  /// internal graph copy.
+  /// Build the context and make computeThroughput()'s engine decision
+  /// once: the MCR engine's expansion is built here, or every compute()
+  /// runs the state-space engine on the internal graph copy. So under
+  /// a forced MCR engine (which the flow never uses) a static order
+  /// that does not cover one iteration throws here, and an expansion
+  /// above `options.maxMcrHsdfSize` is built here and onFastPath() is
+  /// true, as computeThroughput() ignores the cap for forced MCR.
   /// @param timed the graph to analyze (copied; `timed.execTime` must
   ///   have one entry per actor)
   /// @param resources optional binding and static orders (copied; may
@@ -49,7 +53,9 @@ class IncrementalThroughput {
   /// @param options engine selection and safety limits, applied to
   ///   every compute() call
   /// @throws AnalysisError on shape violations (execTime size, invalid
-  ///   resource constraints)
+  ///   resource constraints), when a forced MCR engine cannot encode
+  ///   the static orders, or when an execution time or delay of the
+  ///   expansion exceeds INT64_MAX
   explicit IncrementalThroughput(const sdf::TimedGraph& timed,
                                  const ResourceConstraints* resources = nullptr,
                                  const ThroughputOptions& options = {});
@@ -63,16 +69,16 @@ class IncrementalThroughput {
   void setInitialTokens(sdf::ChannelId channel, std::uint64_t tokens);
 
   /// Re-analyze with the current token counts. On the fast path this
-  /// runs warm-started Howard on the cached edge table; the
-  /// verdict (status, rational, engine, hsdfActors) is identical to
-  /// computeThroughput() on the current graph. Off the fast path it
-  /// delegates to computeThroughput() directly.
+  /// runs warm-started Howard on the cached edge table; off it, the
+  /// state-space engine on the current graph. Either way the verdict
+  /// is identical to computeThroughput() on the current graph, and
+  /// expansionNanos is 0: the expansion was built by the constructor.
   /// @return the throughput verdict, including which engine ran
   [[nodiscard]] ThroughputResult compute();
 
   /// True when queries run on the cached MCR expansion (the incremental
-  /// path); false when every compute() delegates to the unified entry
-  /// point.
+  /// path); false when every compute() runs the state-space engine or
+  /// reports Inconsistent.
   /// @return whether the MCR fast path is active
   [[nodiscard]] bool onFastPath() const { return fastPath_; }
 
@@ -93,9 +99,10 @@ class IncrementalThroughput {
   void exportWarmStart(SolverWarmStart& warm) const { solver_.exportWarmStart(warm); }
 
  private:
-  sdf::TimedGraph timed_;  ///< current token state (also the fallback input)
+  sdf::TimedGraph timed_;  ///< current token state (also the state-space input)
   std::optional<ResourceConstraints> resources_;
   ThroughputOptions options_;
+  std::optional<std::vector<std::uint64_t>> q_;  ///< nullopt: inconsistent graph
   bool fastPath_ = false;
   FlatExpansion flat_;       ///< cached flat expansion (fast path only)
   CycleRatioSolver solver_;  ///< warm-started across compute()s

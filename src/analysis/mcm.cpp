@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "analysis/flat_hsdf.hpp"
-#include "sdf/repetition_vector.hpp"
-#include "support/timer.hpp"
-
 namespace mamps::analysis {
 namespace {
 
@@ -410,29 +406,6 @@ CycleRatioResult CycleRatioSolver::solve(std::size_t nodeCount,
     return result;
   }
   return s.howard(nodeCount, preferredSuccessor_);
-}
-
-ThroughputResult computeThroughputMcr(const sdf::TimedGraph& timed,
-                                      const ResourceConstraints* resources) {
-  if (timed.execTime.size() != timed.graph.actorCount()) {
-    throw AnalysisError("computeThroughputMcr: execTime size does not match actor count");
-  }
-  if (!sdf::isConsistent(timed.graph)) {
-    ThroughputResult result;
-    result.engine = ThroughputEngine::Mcr;
-    result.status = ThroughputResult::Status::Inconsistent;
-    return result;
-  }
-  FlatExpansion flat;
-  std::uint64_t buildNanos = 0;
-  {
-    support::ScopedTimer timer(buildNanos);
-    flat.build(timed, resources);
-  }
-  CycleRatioSolver solver;
-  ThroughputResult result = solveExpansion(flat, solver);
-  result.expansionNanos = buildNanos;
-  return result;
 }
 
 }  // namespace mamps::analysis

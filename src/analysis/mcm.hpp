@@ -7,13 +7,13 @@
 // and the graph throughput is 1/MCR iterations per cycle. A cycle with
 // zero tokens can never fire: the graph is deadlocked.
 //
-// General SDF graphs are analyzed by expanding them to HSDF first
-// (analysis/flat_hsdf.hpp); static-order schedules of shared resources
-// are encoded exactly as additional HSDF precedence edges, so
-// resource-shared binding-aware graphs stay on the fast path. The cycle
-// ratio is computed by Howard's policy iteration with exact integer
-// arithmetic; the tests cross-check it against a brute-force simple
-// cycle enumeration (tests/hsdf_oracle.hpp).
+// computeThroughput()'s MCR engine analyzes a general SDF graph by
+// expanding it to HSDF first (analysis/flat_hsdf.hpp); static-order
+// schedules of shared resources are encoded exactly as additional HSDF
+// precedence edges, so resource-shared binding-aware graphs stay on the
+// fast path. The cycle ratio is computed by Howard's policy iteration
+// with exact integer arithmetic; the tests cross-check it against a
+// brute-force simple cycle enumeration (tests/hsdf_oracle.hpp).
 #pragma once
 
 #include <cstdint>
@@ -133,21 +133,5 @@ class CycleRatioSolver {
   std::vector<std::uint32_t> preferredSuccessor_;  ///< warm-start hints
   std::unique_ptr<Scratch> scratch_;               ///< lazily created, reused
 };
-
-/// Full throughput verdict via the MCR fast path: flat HSDF expansion
-/// (analysis/flat_hsdf.hpp; static orders encoded as precedence edges
-/// when `resources` is non-null) and Howard's policy iteration. Never
-/// returns Status::Diverged or StepLimit; for graphs that are not
-/// strongly bounded it reports the exact long-run iteration completion
-/// rate. The per-phase expansion/solve counters of the result are
-/// filled in.
-/// @param timed the SDF graph to analyze
-/// @param resources optional binding and static orders (may be null)
-/// @return a ThroughputResult with `engine == ThroughputEngine::Mcr`
-/// @throws AnalysisError on shape violations (execTime size, schedule
-///   appearance counts) or when execution times and delays are too
-///   large for exact arithmetic
-[[nodiscard]] ThroughputResult computeThroughputMcr(
-    const sdf::TimedGraph& timed, const ResourceConstraints* resources = nullptr);
 
 }  // namespace mamps::analysis

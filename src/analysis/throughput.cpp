@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/flat_hsdf.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/mcm.hpp"
 #include "analysis/self_timed.hpp"
 #include "sdf/repetition_vector.hpp"
@@ -41,25 +44,26 @@ StateKey encodeState(const SelfTimedExecution& execution, std::size_t actorCount
   return key;
 }
 
+/// Safety cap on the quiescent steps of one state-space run: past it the
+/// engine gives up with Status::StepLimit.
+constexpr std::uint64_t kMaxStateSpaceSteps = 10'000'000;
+
 /// The state-space engine: run the self-timed execution quiescent point
-/// by quiescent point until a state recurs.
+/// by quiescent point until a state recurs. `q` is the graph's
+/// repetition vector.
 ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
                                    const ResourceConstraints* resources,
-                                   const ThroughputOptions& options) {
+                                   const std::vector<std::uint64_t>& q,
+                                   std::uint64_t maxStoredStates) {
   const Graph& graph = timed.graph;
   ThroughputResult result;
   result.engine = ThroughputEngine::StateSpace;
-  const auto qOpt = sdf::computeRepetitionVector(graph);
-  if (!qOpt) {
-    result.status = ThroughputResult::Status::Inconsistent;
-    return result;
-  }
   if (graph.actorCount() == 0) {
     result.status = ThroughputResult::Status::Deadlock;
     return result;
   }
   // Iterations are counted in completions of actor 0.
-  const std::uint64_t qRef = (*qOpt)[0];
+  const std::uint64_t qRef = q[0];
 
   // Divergence guard: self-timed execution of a graph that is not
   // strongly bounded (e.g. a fast producer feeding an unbounded
@@ -70,7 +74,7 @@ ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
   std::uint64_t perIteration = 0;
   for (const Channel& c : graph.channels()) {
     initialTotal += c.initialTokens;
-    perIteration += (*qOpt)[c.src] * c.prodRate;
+    perIteration += q[c.src] * c.prodRate;
   }
   const std::uint64_t divergenceThreshold = initialTotal + 64 * perIteration + 4096;
 
@@ -79,9 +83,9 @@ ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
   const auto done = [](ActorId) {};
   std::map<StateKey, Visit> seen;
   std::uint64_t pruned = 0;
-  const std::uint64_t storeLimit = std::max<std::uint64_t>(options.maxStoredStates, 16);
+  const std::uint64_t storeLimit = std::max<std::uint64_t>(maxStoredStates, 16);
 
-  for (std::uint64_t step = 0; step < options.maxSteps; ++step) {
+  for (std::uint64_t step = 0; step < kMaxStateSpaceSteps; ++step) {
     // Quiescent point: start everything startable, complete all
     // zero-time work (which may enable more starts).
     if (!execution.settle(cost, done)) {
@@ -159,39 +163,6 @@ void saturatingAdd(std::uint64_t& total, std::uint64_t amount) {
   total += std::min(amount, headroom);
 }
 
-/// Can the MCR fast path reproduce the state-space semantics exactly?
-/// (Shared by Auto selection and forced-Mcr validation; `reason` names
-/// the first violated precondition.)
-bool mcrRepresentable(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
-                      const std::vector<std::uint64_t>& q, const char** reason) {
-  // Every finite self-concurrency limit (including limits > 1) is
-  // encoded exactly by the HSDF expansion as a virtual k-token
-  // self-edge; limit-0 actors are unconstrained. No limit forces the
-  // state-space engine.
-  if (resources != nullptr) {
-    std::vector<std::uint64_t> appearances(timed.graph.actorCount(), 0);
-    for (std::size_t r = 0; r < resources->staticOrder.size(); ++r) {
-      for (const ActorId a : resources->staticOrder[r]) {
-        if (resources->actorResource[a] != r) {
-          *reason = "static order schedules an actor on a foreign resource";
-          return false;
-        }
-        ++appearances[a];
-      }
-    }
-    for (ActorId a = 0; a < timed.graph.actorCount(); ++a) {
-      if (resources->actorResource[a] != ResourceConstraints::kUnbound &&
-          appearances[a] != q[a]) {
-        // The schedule-to-firing-copy mapping is only exact when the
-        // cyclic order covers exactly one graph iteration.
-        *reason = "static order does not cover exactly one iteration";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// Estimated HSDF expansion size (actors + edges), saturating.
 std::uint64_t hsdfSizeEstimate(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
                                const std::vector<std::uint64_t>& q) {
@@ -217,71 +188,88 @@ std::uint64_t hsdfSizeEstimate(const sdf::TimedGraph& timed, const ResourceConst
   return size;
 }
 
-ThroughputResult dispatch(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
-                          const ThroughputOptions& options) {
+/// The engine decision of computeThroughput and IncrementalThroughput,
+/// made here and nowhere else: check the shapes, compute the repetition
+/// vector once, and pick the engine. The state-space engine runs when
+/// it is forced, or under Auto when the estimated expansion exceeds
+/// `options.maxMcrHsdfSize`. Otherwise `flat` is built; a static order
+/// it cannot encode sends Auto to the state-space engine and makes a
+/// forced MCR engine throw. No self-concurrency limit forces the
+/// state-space engine: the expansion encodes every finite limit.
+/// @param q receives the repetition vector; nullopt when the graph is
+///   inconsistent
+/// @return true when the MCR engine runs on `flat`
+bool decide(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+            const ThroughputOptions& options, std::optional<std::vector<std::uint64_t>>& q,
+            FlatExpansion& flat) {
   if (timed.execTime.size() != timed.graph.actorCount()) {
     throw AnalysisError("computeThroughput: execTime size does not match actor count");
   }
   if (resources != nullptr) {
     resources->validateFor(timed.graph);
   }
-
-  if (options.engine != ThroughputEngine::StateSpace) {
-    const auto qOpt = sdf::computeRepetitionVector(timed.graph);
-    if (!qOpt) {
-      ThroughputResult result;
-      result.status = ThroughputResult::Status::Inconsistent;
-      result.engine = options.engine == ThroughputEngine::Mcr ? ThroughputEngine::Mcr
-                                                              : ThroughputEngine::StateSpace;
-      return result;
-    }
-    const char* reason = nullptr;
-    const bool representable = mcrRepresentable(timed, resources, *qOpt, &reason);
-    if (options.engine == ThroughputEngine::Mcr) {
-      if (!representable) {
-        throw AnalysisError(std::string("computeThroughput: MCR engine not applicable: ") +
-                            reason);
-      }
-      return computeThroughputMcr(timed, resources);
-    }
-    // Auto: take the fast path when it is exact and the expansion stays
-    // reasonably sized.
-    if (representable &&
-        hsdfSizeEstimate(timed, resources, *qOpt) <= options.maxMcrHsdfSize) {
-      return computeThroughputMcr(timed, resources);
-    }
+  q = sdf::computeRepetitionVector(timed.graph);
+  if (!q || options.engine == ThroughputEngine::StateSpace ||
+      (options.engine == ThroughputEngine::Auto &&
+       hsdfSizeEstimate(timed, resources, *q) > options.maxMcrHsdfSize)) {
+    return false;
   }
+  if (flat.build(timed, resources, *q)) {
+    return true;
+  }
+  if (options.engine == ThroughputEngine::Mcr) {
+    throw AnalysisError(
+        "computeThroughput: MCR engine not applicable: a static order does not cover exactly "
+        "one iteration on its own resource");
+  }
+  return false;
+}
 
-  std::uint64_t solveNanos = 0;
+/// The verdict of an analysis that decide() kept off the MCR engine:
+/// Inconsistent when `q` is absent (attributed to the MCR engine when
+/// it was forced), otherwise the state-space engine's, its run timed as
+/// solveNanos.
+ThroughputResult solveStateSpace(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+                                 const std::optional<std::vector<std::uint64_t>>& q,
+                                 const ThroughputOptions& options) {
   ThroughputResult result;
+  if (!q) {
+    result.status = ThroughputResult::Status::Inconsistent;
+    result.engine = options.engine == ThroughputEngine::Mcr ? ThroughputEngine::Mcr
+                                                            : ThroughputEngine::StateSpace;
+    return result;
+  }
+  std::uint64_t solveNanos = 0;
   {
     support::ScopedTimer timer(solveNanos);
-    result = exploreStateSpace(timed, resources, options);
+    result = exploreStateSpace(timed, resources, *q, options.maxStoredStates);
   }
   result.solveNanos = solveNanos;
   return result;
 }
 
-}  // namespace
-
-bool mcrFastPathApplicable(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
-                           const ThroughputOptions& options, const char** reason) {
-  const char* local = nullptr;
-  const char** out = reason != nullptr ? reason : &local;
-  const auto qOpt = sdf::computeRepetitionVector(timed.graph);
-  if (!qOpt) {
-    *out = "inconsistent graph";
-    return false;
+/// computeThroughput: decide, then solve. The decision's time, the
+/// expansion's build included, is reported as expansionNanos.
+ThroughputResult decideAndSolve(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
+                                const ThroughputOptions& options) {
+  std::optional<std::vector<std::uint64_t>> q;
+  FlatExpansion flat;
+  std::uint64_t decisionNanos = 0;
+  bool mcr = false;
+  {
+    support::ScopedTimer timer(decisionNanos);
+    mcr = decide(timed, resources, options, q, flat);
   }
-  if (!mcrRepresentable(timed, resources, *qOpt, out)) {
-    return false;
+  if (!mcr) {
+    return solveStateSpace(timed, resources, q, options);
   }
-  if (hsdfSizeEstimate(timed, resources, *qOpt) > options.maxMcrHsdfSize) {
-    *out = "estimated HSDF expansion exceeds maxMcrHsdfSize";
-    return false;
-  }
-  return true;
+  CycleRatioSolver solver;
+  ThroughputResult result = solveExpansion(flat, solver);
+  result.expansionNanos = decisionNanos;
+  return result;
 }
+
+}  // namespace
 
 const char* throughputEngineName(ThroughputEngine engine) {
   switch (engine) {
@@ -324,13 +312,46 @@ void ResourceConstraints::validateFor(const sdf::Graph& g) const {
 }
 
 ThroughputResult computeThroughput(const sdf::TimedGraph& timed, const ThroughputOptions& options) {
-  return dispatch(timed, nullptr, options);
+  return decideAndSolve(timed, nullptr, options);
 }
 
 ThroughputResult computeThroughput(const sdf::TimedGraph& timed,
                                    const ResourceConstraints& resources,
                                    const ThroughputOptions& options) {
-  return dispatch(timed, &resources, options);
+  return decideAndSolve(timed, &resources, options);
+}
+
+IncrementalThroughput::IncrementalThroughput(const sdf::TimedGraph& timed,
+                                             const ResourceConstraints* resources,
+                                             const ThroughputOptions& options)
+    // Whole-struct copy of the TimedGraph: every per-actor annotation
+    // (execTime, maxConcurrent, future fields) is retained — see
+    // TimedGraph::rebuildFrom for the field-by-field-rebuild hazard.
+    : timed_(timed), options_(options) {
+  if (resources != nullptr) {
+    resources_ = *resources;
+  }
+  fastPath_ = decide(timed_, resources, options_, q_, flat_);
+}
+
+void IncrementalThroughput::setInitialTokens(sdf::ChannelId channel, std::uint64_t tokens) {
+  if (channel >= timed_.graph.channelCount()) {
+    throw AnalysisError("IncrementalThroughput::setInitialTokens: channel out of range");
+  }
+  if (timed_.graph.channel(channel).initialTokens == tokens) {
+    return;
+  }
+  timed_.graph.setInitialTokens(channel, tokens);
+  if (fastPath_) {
+    flat_.patchChannel(timed_, channel);
+  }
+}
+
+ThroughputResult IncrementalThroughput::compute() {
+  if (fastPath_) {
+    return solveExpansion(flat_, solver_);
+  }
+  return solveStateSpace(timed_, resources_ ? &*resources_ : nullptr, q_, options_);
 }
 
 }  // namespace mamps::analysis

@@ -12,9 +12,13 @@
 //
 // computeThroughput() picks the fast path whenever it is exact for the
 // requested semantics and falls back to the state-space engine
-// otherwise; ThroughputResult::engine reports which one ran. The flow
-// defines throughput as graph iterations per clock cycle; the
-// platform's system clock is the base time unit (Section 5).
+// otherwise; ThroughputResult::engine reports which one ran. One
+// function in throughput.cpp makes that decision, for computeThroughput()
+// and for IncrementalThroughput (analysis/incremental.hpp) alike: it
+// checks the shapes, computes the repetition vector once, and builds
+// the expansion when MCR applies. The flow defines throughput as graph
+// iterations per clock cycle; the platform's system clock is the base
+// time unit (Section 5).
 #pragma once
 
 #include <cstdint>
@@ -65,9 +69,10 @@ enum class ThroughputEngine {
   /// Force the state-space engine (always defined; exponential worst
   /// case; the only engine with divergence detection).
   StateSpace,
-  /// Force the MCR fast path. computeThroughput() throws AnalysisError
-  /// when the fast path cannot represent the requested semantics
-  /// (static orders that do not cover one full iteration). Every
+  /// Force the MCR fast path. computeThroughput() and the
+  /// IncrementalThroughput constructor throw AnalysisError when the
+  /// fast path cannot represent the requested semantics (static orders
+  /// that do not cover one full iteration). Every
   /// self-concurrency limit — 0 (unlimited), 1, or above — is encoded
   /// exactly by the HSDF expansion.
   Mcr,
@@ -80,9 +85,6 @@ enum class ThroughputEngine {
 
 /// Tuning knobs for computeThroughput().
 struct ThroughputOptions {
-  /// Safety cap on simulated quiescent steps before the state-space
-  /// engine gives up with Status::StepLimit.
-  std::uint64_t maxSteps = 10'000'000;
   /// Which engine to run; see ThroughputEngine.
   ThroughputEngine engine = ThroughputEngine::Auto;
   /// Auto only: fall back to the state-space engine when the HSDF
@@ -98,24 +100,6 @@ struct ThroughputOptions {
   std::uint64_t maxStoredStates = 1u << 20;
 };
 
-/// Would Auto engine selection route this analysis to the MCR fast
-/// path? True when the HSDF encoding is exact for the requested
-/// semantics (static orders, if any, cover exactly one iteration) and
-/// the estimated expansion size stays under
-/// `options.maxMcrHsdfSize`. IncrementalThroughput uses the same
-/// predicate, so its engine choice always matches a from-scratch
-/// computeThroughput() call.
-/// @param timed the graph to analyze
-/// @param resources optional binding and static orders (may be null)
-/// @param options engine selection and safety limits
-/// @param reason optional out-parameter; on false names the first
-///   violated precondition (static string, never null)
-/// @return true when Auto would pick the MCR engine
-[[nodiscard]] bool mcrFastPathApplicable(const sdf::TimedGraph& timed,
-                                         const ResourceConstraints* resources,
-                                         const ThroughputOptions& options,
-                                         const char** reason = nullptr);
-
 /// Outcome of a throughput analysis.
 struct ThroughputResult {
   /// Verdict of the analysis.
@@ -128,7 +112,9 @@ struct ThroughputResult {
                    ///< strongly bounded; analyze with buffer capacities
                    ///< or use the MCR engine, which reports the long-run
                    ///< iteration rate for such graphs)
-    StepLimit,     ///< maxSteps exceeded before a recurrent state
+    StepLimit,     ///< the state-space engine ran 10,000,000 quiescent
+                   ///< steps (kMaxStateSpaceSteps in throughput.cpp)
+                   ///< without a recurrent state
   };
 
   /// Verdict; iterationsPerCycle is only meaningful for Ok.
@@ -151,8 +137,10 @@ struct ThroughputResult {
   // accumulations; integer nanoseconds so equality checks stay exact).
   // Timings are measurements, not results: the determinism property
   // wall compares every field of two ThroughputResults *except* these.
-  /// Nanoseconds spent building the HSDF edge tables (MCR engine only;
-  /// zero for a re-solve of an IncrementalThroughput context).
+  /// MCR engine only: nanoseconds computeThroughput() spent on the
+  /// engine decision, the build of the HSDF edge tables included; zero
+  /// for a compute() of an IncrementalThroughput context, whose
+  /// constructor built them.
   std::uint64_t expansionNanos = 0;
   /// Nanoseconds spent in the solver proper: Howard's policy iteration
   /// (MCR) or the whole state-space exploration.

@@ -232,9 +232,39 @@ std::uint32_t ResourceBudget::allocateFslLink(std::uint32_t client) {
 
 namespace {
 
-/// Does the degraded/failed accounting of `tile` strand this ledger?
-bool ledgerTouchesTile(const ClientLedger& ledger, TileId tile) {
-  return ledger.tiles.find(tile) != ledger.tiles.end();
+// One holder rule per fault kind: does a client's ledger hold the failed
+// tile, NoC link or FSL link? The fail* calls ask it of the new fault,
+// strandedClients() of every standing one.
+bool holdsTile(const ClientLedger& ledger, TileId tile) {
+  return ledger.tiles.count(tile) != 0;
+}
+
+bool holdsNocLink(const ClientLedger& ledger, LinkId link) {
+  return ledger.wires.count(link) != 0;
+}
+
+bool holdsFslLink(const ClientLedger& ledger, std::uint32_t index) {
+  return std::find(ledger.fslLinks.begin(), ledger.fslLinks.end(), index) != ledger.fslLinks.end();
+}
+
+/// A degraded wheel strands every holder of its tile once the committed
+/// slots no longer fit it: their analyzed slice assignments are void.
+bool strandedByWheel(const ClientLedger& ledger, TileId tile, const TileBudget& budget,
+                     const TdmConfig& wheel) {
+  return budget.slotsUsed() > wheel.slotsPerWheel && holdsTile(ledger, tile);
+}
+
+/// The clients whose ledger satisfies `holds`, in ascending id order.
+template <typename Holds>
+std::vector<std::uint32_t> holders(const std::map<std::uint32_t, ClientLedger>& ledgers,
+                                   const Holds& holds) {
+  std::vector<std::uint32_t> clients;
+  for (const auto& [client, ledger] : ledgers) {
+    if (holds(ledger)) {
+      clients.push_back(client);
+    }
+  }
+  return clients;
 }
 
 }  // namespace
@@ -246,13 +276,7 @@ std::vector<std::uint32_t> ResourceBudget::failTile(TileId tile) {
                 " is already failed");
   }
   faults_.failedTiles.insert(tile);
-  std::vector<std::uint32_t> stranded;
-  for (const auto& [client, ledger] : ledgers_) {
-    if (ledgerTouchesTile(ledger, tile)) {
-      stranded.push_back(client);
-    }
-  }
-  return stranded;
+  return holders(ledgers_, [tile](const ClientLedger& ledger) { return holdsTile(ledger, tile); });
 }
 
 void ResourceBudget::repairTile(TileId tile) {
@@ -273,13 +297,8 @@ std::vector<std::uint32_t> ResourceBudget::failNocLink(LinkId link) {
                 " is already failed");
   }
   faults_.failedNocLinks.insert(link);
-  std::vector<std::uint32_t> stranded;
-  for (const auto& [client, ledger] : ledgers_) {
-    if (ledger.wires.find(link) != ledger.wires.end()) {
-      stranded.push_back(client);
-    }
-  }
-  return stranded;
+  return holders(ledgers_,
+                 [link](const ClientLedger& ledger) { return holdsNocLink(ledger, link); });
 }
 
 void ResourceBudget::repairNocLink(LinkId link) {
@@ -302,14 +321,8 @@ std::vector<std::uint32_t> ResourceBudget::failFslLink(std::uint32_t index) {
                 " is already failed");
   }
   faults_.failedFslLinks.insert(index);
-  std::vector<std::uint32_t> stranded;
-  for (const auto& [client, ledger] : ledgers_) {
-    if (std::find(ledger.fslLinks.begin(), ledger.fslLinks.end(), index) !=
-        ledger.fslLinks.end()) {
-      stranded.push_back(client);
-    }
-  }
-  return stranded;
+  return holders(ledgers_,
+                 [index](const ClientLedger& ledger) { return holdsFslLink(ledger, index); });
 }
 
 void ResourceBudget::repairFslLink(std::uint32_t index) {
@@ -326,27 +339,13 @@ std::vector<std::uint32_t> ResourceBudget::degradeTileWheel(TileId tile,
     throw Error("ResourceBudget::degradeTileWheel: tile " + arch_->tile(tile).name +
                 " is already degraded");
   }
-  if (wheel.slotsPerWheel == 0) {
-    throw ModelError("ResourceBudget::degradeTileWheel: degraded wheel has zero slots");
-  }
-  const std::uint32_t built =
-      std::max<std::uint32_t>(1, arch_->tile(tile).tdm.slotsPerWheel);
-  if (wheel.slotsPerWheel > built) {
-    throw ModelError("ResourceBudget::degradeTileWheel: degraded wheel has " +
-                     std::to_string(wheel.slotsPerWheel) + " slots, more than the " +
-                     std::to_string(built) + " tile " + arch_->tile(tile).name +
-                     " was built with");
-  }
+  FaultState degraded;  // the one check of a degraded wheel is FaultState::validate
+  degraded.degradedTdm.emplace(tile, wheel);
+  degraded.validate(*arch_);
   faults_.degradedTdm.emplace(tile, wheel);
-  std::vector<std::uint32_t> stranded;
-  if (tiles_[tile].slotsUsed() > wheel.slotsPerWheel) {
-    // The committed slots no longer fit the wheel: every holder's
-    // analyzed slice assignment is void, so all of them are stranded.
-    for (const auto& [client, slots] : tiles_[tile].slotOwners) {
-      stranded.push_back(client);
-    }
-  }
-  return stranded;
+  return holders(ledgers_, [&](const ClientLedger& ledger) {
+    return strandedByWheel(ledger, tile, tiles_[tile], wheel);
+  });
 }
 
 void ResourceBudget::repairTileWheel(TileId tile) {
@@ -358,28 +357,19 @@ void ResourceBudget::repairTileWheel(TileId tile) {
 }
 
 std::vector<std::uint32_t> ResourceBudget::strandedClients() const {
-  std::vector<std::uint32_t> stranded;
-  for (const auto& [client, ledger] : ledgers_) {
-    bool hit = false;
-    for (const TileId tile : faults_.failedTiles) {
-      hit = hit || ledgerTouchesTile(ledger, tile);
-    }
-    for (const LinkId link : faults_.failedNocLinks) {
-      hit = hit || ledger.wires.find(link) != ledger.wires.end();
-    }
-    for (const std::uint32_t index : faults_.failedFslLinks) {
-      hit = hit || std::find(ledger.fslLinks.begin(), ledger.fslLinks.end(), index) !=
-                       ledger.fslLinks.end();
-    }
-    for (const auto& [tile, wheel] : faults_.degradedTdm) {
-      hit = hit || (tiles_[tile].slotsUsed() > wheel.slotsPerWheel &&
-                    ledgerTouchesTile(ledger, tile));
-    }
-    if (hit) {
-      stranded.push_back(client);
-    }
-  }
-  return stranded;
+  const FaultState& f = faults_;
+  return holders(ledgers_, [&](const ClientLedger& ledger) {
+    return std::any_of(f.failedTiles.begin(), f.failedTiles.end(),
+                       [&](TileId tile) { return holdsTile(ledger, tile); }) ||
+           std::any_of(f.failedNocLinks.begin(), f.failedNocLinks.end(),
+                       [&](LinkId link) { return holdsNocLink(ledger, link); }) ||
+           std::any_of(f.failedFslLinks.begin(), f.failedFslLinks.end(),
+                       [&](std::uint32_t index) { return holdsFslLink(ledger, index); }) ||
+           std::any_of(f.degradedTdm.begin(), f.degradedTdm.end(), [&](const auto& degraded) {
+             const auto& [tile, wheel] = degraded;
+             return strandedByWheel(ledger, tile, tiles_[tile], wheel);
+           });
+  });
 }
 
 std::vector<std::uint32_t> ResourceBudget::liveFslLinks() const {

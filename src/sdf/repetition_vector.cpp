@@ -94,6 +94,4 @@ std::optional<std::vector<std::uint64_t>> computeRepetitionVector(const Graph& g
   return out;
 }
 
-bool isConsistent(const Graph& g) { return computeRepetitionVector(g).has_value(); }
-
 }  // namespace mamps::sdf

@@ -26,8 +26,4 @@ namespace mamps::sdf {
 ///   graph)
 [[nodiscard]] std::optional<std::vector<std::uint64_t>> computeRepetitionVector(const Graph& g);
 
-/// True when the balance equations have a solution.
-/// @throws ModelError as computeRepetitionVector()
-[[nodiscard]] bool isConsistent(const Graph& g);
-
 }  // namespace mamps::sdf

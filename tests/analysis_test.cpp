@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -21,6 +22,9 @@ namespace {
 
 using sdf::Graph;
 using sdf::TimedGraph;
+
+/// computeThroughput() with the MCR engine forced.
+constexpr ThroughputOptions kForcedMcr{.engine = ThroughputEngine::Mcr};
 
 // -------------------------------------------------------------- Throughput
 
@@ -134,7 +138,7 @@ TEST(ThroughputTest, Figure2WithCapacitiesMatchesMcr) {
   const TimedGraph bounded = withCapacities(timed, *capacities);
   const auto result = computeThroughput(bounded);
   ASSERT_TRUE(result.ok());
-  const auto mcr = computeThroughputMcr(bounded);
+  const auto mcr = computeThroughput(bounded, kForcedMcr);
   ASSERT_TRUE(mcr.ok());
   EXPECT_EQ(result.iterationsPerCycle, mcr.iterationsPerCycle);
 }
@@ -354,7 +358,7 @@ TEST(CycleRatioTest, HowardMatchesBruteForceOnKnownGraph) {
 TEST(CycleRatioTest, ThroughputViaMcrMatchesStateSpace) {
   // A strongly connected graph recurs without extra capacities.
   const sdf::TimedGraph timed{test::ringGraph(4), {2, 5, 3, 7}};
-  const auto mcr = computeThroughputMcr(timed);
+  const auto mcr = computeThroughput(timed, kForcedMcr);
   const auto ss = computeThroughput(timed);
   ASSERT_TRUE(mcr.ok());
   ASSERT_TRUE(ss.ok());
@@ -369,7 +373,7 @@ TEST(CycleRatioTest, ThroughputViaMcrDetectsDeadlock) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1);
   const sdf::TimedGraph timed{std::move(g), {1, 1}};
-  EXPECT_EQ(computeThroughputMcr(timed).status, ThroughputResult::Status::Deadlock);
+  EXPECT_EQ(computeThroughput(timed, kForcedMcr).status, ThroughputResult::Status::Deadlock);
 }
 
 // ----------------------------------------------------------- UnifiedEngine
@@ -492,7 +496,7 @@ TEST(EngineDispatchTest, PrefixPruningKeepsResultExact) {
   pruned.maxStoredStates = 4;  // clamped to the internal minimum of 16
   const auto result = computeThroughput(timed, pruned);
   ASSERT_TRUE(result.ok());
-  const auto mcr = computeThroughputMcr(timed);
+  const auto mcr = computeThroughput(timed, kForcedMcr);
   ASSERT_TRUE(mcr.ok());
   EXPECT_EQ(result.iterationsPerCycle, mcr.iterationsPerCycle);
 }
@@ -508,7 +512,7 @@ TEST(HsdfEdgeCaseTest, SelfLoopWithExcessTokens) {
   g.connect(a, 1, b, 1);
   g.connect(b, 1, a, 1, 3, "ring");  // 3 tokens > consRate 1
   const TimedGraph timed{std::move(g), {4, 6}};
-  const auto mcr = computeThroughputMcr(timed);
+  const auto mcr = computeThroughput(timed, kForcedMcr);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
@@ -552,7 +556,7 @@ TEST(HsdfEdgeCaseTest, InitialTokensExceedingConsumptionRate) {
   g.connect(a, 2, b, 3, 7, "ab");  // 7 initial tokens, cons 3
   g.connect(b, 3, a, 2, 0, "ba");  // mirrored rates keep q = [3, 2]
   const TimedGraph timed{std::move(g), {5, 4}};
-  const auto mcr = computeThroughputMcr(timed);
+  const auto mcr = computeThroughput(timed, kForcedMcr);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
@@ -567,7 +571,7 @@ TEST(HsdfEdgeCaseTest, PureSelfLoopActor) {
   const auto a = g.addActor("a");
   g.connect(a, 2, a, 2, 4, "self");
   const TimedGraph timed{std::move(g), {9}};
-  const auto mcr = computeThroughputMcr(timed);
+  const auto mcr = computeThroughput(timed, kForcedMcr);
   ThroughputOptions options;
   options.engine = ThroughputEngine::StateSpace;
   const auto ss = computeThroughput(timed, options);
@@ -822,6 +826,53 @@ TEST(IncrementalTest, OversizedExpansionFallsBackToStateSpace) {
   EXPECT_EQ(viaContext.iterationsPerCycle, fresh.iterationsPerCycle);
 }
 
+TEST(IncrementalTest, ForcedMcrOnAPartialScheduleThrowsFromTheConstructor) {
+  // b fires twice per iteration (q = [1, 2]) but appears once in the
+  // order, which the expansion cannot encode: the context decides its
+  // engine when it is built, so the forced MCR engine throws there.
+  Graph g;
+  const auto a = g.addActor("a");
+  const auto b = g.addActor("b");
+  g.connect(a, 2, b, 1);
+  g.connect(b, 1, a, 2, 2, "back");
+  const TimedGraph timed{std::move(g), {3, 4}};
+  ResourceConstraints resources;
+  resources.actorResource = {0, 0};
+  resources.staticOrder = {{a, b}};
+  EXPECT_THROW((void)IncrementalThroughput(timed, &resources, kForcedMcr), AnalysisError);
+
+  IncrementalThroughput automatic(timed, &resources);
+  EXPECT_FALSE(automatic.onFastPath());
+  EXPECT_EQ(automatic.compute().engine, ThroughputEngine::StateSpace);
+}
+
+TEST(IncrementalTest, ForcedMcrAboveTheCapBuildsTheExpansionOnce) {
+  // Forced MCR ignores maxMcrHsdfSize, as computeThroughput does: the
+  // context builds the expansion in its constructor and patches it.
+  Graph g;
+  const auto a = g.addActor("a");
+  const auto b = g.addActor("b");
+  g.connect(a, 1, b, 1, 0, "fwd");
+  const auto back = g.connect(b, 1, a, 1, 1, "back");
+  TimedGraph timed{std::move(g), {3, 7}};
+  ThroughputOptions options;
+  options.engine = ThroughputEngine::Mcr;
+  options.maxMcrHsdfSize = 1;  // every expansion exceeds this
+  IncrementalThroughput incremental(timed, nullptr, options);
+  EXPECT_TRUE(incremental.onFastPath());
+  for (std::uint64_t tokens = 1; tokens <= 3; ++tokens) {
+    timed.graph.setInitialTokens(back, tokens);
+    incremental.setInitialTokens(back, tokens);
+    const auto fresh = computeThroughput(timed, options);
+    const auto patched = incremental.compute();
+    ASSERT_TRUE(patched.ok()) << "tokens " << tokens;
+    EXPECT_EQ(patched.engine, ThroughputEngine::Mcr);
+    EXPECT_EQ(patched.iterationsPerCycle, fresh.iterationsPerCycle) << "tokens " << tokens;
+    EXPECT_EQ(patched.hsdfActors, fresh.hsdfActors);
+    EXPECT_EQ(patched.expansionNanos, 0u);
+  }
+}
+
 TEST(IncrementalTest, OutOfRangeChannelThrows) {
   Graph g;
   const auto a = g.addActor("a");
@@ -839,8 +890,6 @@ TEST(ThroughputTest, FiniteConcurrencyLimitStaysOnFastPathAndMatches) {
   g.addActor("a");
   TimedGraph timed{std::move(g), {10}};
   timed.maxConcurrent = {2};
-  const char* reason = nullptr;
-  EXPECT_TRUE(mcrFastPathApplicable(timed, nullptr, {}, &reason)) << reason;
   const auto viaMcr = computeThroughput(timed);
   EXPECT_EQ(viaMcr.engine, ThroughputEngine::Mcr);
   ASSERT_TRUE(viaMcr.ok());
@@ -1012,6 +1061,121 @@ TEST(TokenGameGoldenTest, IterationLongerThanTheLivelockBoundIsLive) {
   // retirements the executor allows in one instant of this graph: a
   // token game of zero-time firings would stop short of it.
   EXPECT_TRUE(test::isDeadlockFree(test::pipelineGraph(5000, 1)));
+}
+
+// -------------------------------------------------- Engine-decision golden
+
+/// One graph of the engine-decision corpus, with the static orders it
+/// runs under (none for most).
+struct DecisionCase {
+  TimedGraph timed;
+  std::optional<ResourceConstraints> resources;
+};
+
+/// The corpus: seeded random graphs (2-5 actors, q up to 3, 0-20 cycles
+/// per actor, 30 % of them not provisioned to be live, half with
+/// self-concurrency limits in [0, 2]), each plain and capacitated to
+/// its minimal deadlock-free buffers; random static-order rings (exact,
+/// first-firing-only and shuffled orders); inconsistent graphs; and the
+/// empty graph.
+std::vector<DecisionCase> engineDecisionCorpus() {
+  std::vector<DecisionCase> corpus;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 7919);
+    test::RandomGraphOptions opt;
+    opt.maxActors = 5;
+    opt.maxQ = 3;
+    opt.ensureLive = !rng.chance(0.3);
+    const Graph g = test::randomConsistentGraph(rng, opt);
+    TimedGraph plain{g, test::randomExecTimes(rng, g, 0, 20)};
+    if (rng.chance(0.5)) {
+      plain.maxConcurrent.resize(g.actorCount());
+      for (auto& limit : plain.maxConcurrent) {
+        limit = static_cast<std::uint32_t>(rng.range(0, 2));
+      }
+    }
+    if (const auto capacities = minimalDeadlockFreeCapacities(g)) {
+      corpus.push_back({withCapacities(plain, *capacities), std::nullopt});
+    }
+    corpus.push_back({std::move(plain), std::nullopt});
+  }
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 15485863);
+    test::StaticOrderRing ring = test::randomStaticOrderRing(rng);
+    corpus.push_back({std::move(ring.timed), std::move(ring.resources)});
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 2003);
+    Graph g = test::randomConsistentGraph(rng);
+    g.connect(0, 1, 1, 1);
+    g.connect(0, 2, 1, 1);  // contradicts the channel above
+    std::vector<std::uint64_t> execTimes = test::randomExecTimes(rng, g);
+    corpus.push_back({TimedGraph{std::move(g), std::move(execTimes)}, std::nullopt});
+  }
+  corpus.push_back({TimedGraph{}, std::nullopt});
+  return corpus;
+}
+
+TEST(EngineDecisionGoldenTest, CorpusMatchesPinnedVerdicts) {
+  // Every graph of the corpus under four engine settings, through
+  // computeThroughput and through an IncrementalThroughput context
+  // whose tokens are patched twice. The digest covers each result's
+  // status, rational, engine, statesExplored, periodCycles and
+  // hsdfActors, or one marker per AnalysisError. A context's
+  // construction and its computes share one try, so a throw digests
+  // the same whether the constructor or a compute() raises it.
+  ThroughputOptions forcedStateSpace;
+  forcedStateSpace.engine = ThroughputEngine::StateSpace;
+  ThroughputOptions tinyCap;
+  tinyCap.maxMcrHsdfSize = 3;
+  const std::array<ThroughputOptions, 4> settings = {ThroughputOptions{}, kForcedMcr,
+                                                     forcedStateSpace, tinyCap};
+  test::Fnv1a fnv;
+  std::uint64_t results = 0;
+  std::uint64_t errors = 0;
+  const auto mix = [&](const ThroughputResult& result) {
+    ++results;
+    fnv.mix(static_cast<std::uint64_t>(result.status));
+    fnv.mix(static_cast<std::uint64_t>(result.iterationsPerCycle.num()));
+    fnv.mix(static_cast<std::uint64_t>(result.iterationsPerCycle.den()));
+    fnv.mix(static_cast<std::uint64_t>(result.engine));
+    fnv.mix(result.statesExplored);
+    fnv.mix(result.periodCycles);
+    fnv.mix(result.hsdfActors);
+  };
+  const auto guarded = [&](const auto& analyses) {
+    try {
+      analyses();
+    } catch (const AnalysisError&) {
+      ++errors;
+      fnv.mix(std::numeric_limits<std::uint64_t>::max());
+    }
+  };
+  for (const DecisionCase& c : engineDecisionCorpus()) {
+    const ResourceConstraints* resources = c.resources ? &*c.resources : nullptr;
+    const Graph& g = c.timed.graph;
+    for (const ThroughputOptions& options : settings) {
+      guarded([&] {
+        mix(resources != nullptr ? computeThroughput(c.timed, *resources, options)
+                                 : computeThroughput(c.timed, options));
+      });
+      guarded([&] {
+        IncrementalThroughput context(c.timed, resources, options);
+        mix(context.compute());
+        if (g.channelCount() == 0) {
+          return;
+        }
+        const sdf::ChannelId last = g.channelCount() - 1;
+        context.setInitialTokens(last, g.channel(last).initialTokens + g.channel(last).prodRate);
+        mix(context.compute());
+        context.setInitialTokens(0, 0);
+        mix(context.compute());
+      });
+    }
+  }
+  EXPECT_EQ(results, 1948u);
+  EXPECT_EQ(errors, 22u);
+  EXPECT_EQ(fnv.hash, 0x2e6aa367678e64d2u);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST(ExpansionTest, ExpandedGraphIsConsistentAndLive) {
   const TimedGraph timed = boundedPair(8, 5, 5);
   const ChannelId fwd = *timed.graph.findChannel("fwd");
   const CommExpansion result = expandChannels(timed, {{fwd, basicParams(2)}});
-  EXPECT_TRUE(sdf::isConsistent(result.graph.graph));
+  EXPECT_TRUE(sdf::computeRepetitionVector(result.graph.graph).has_value());
   EXPECT_TRUE(test::isDeadlockFree(result.graph.graph));
 }
 
@@ -286,7 +286,6 @@ TEST(ExpansionTest, MultiRateChannelExpansion) {
   p.dstBufferTokens = 6;
   const CommExpansion result =
       expandChannels(timed, {{*timed.graph.findChannel("fwd"), p}});
-  EXPECT_TRUE(sdf::isConsistent(result.graph.graph));
   const auto q = sdf::computeRepetitionVector(result.graph.graph);
   ASSERT_TRUE(q.has_value());
   // q(a)=3, q(b)=2; s1 runs once per token: 3*2=6; words: 6*2=12.

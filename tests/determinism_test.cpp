@@ -5,7 +5,7 @@
 // (edge order, channel insertion order, token-update order, cache
 // eviction pressure) and requires bit-identical results. These pin the
 // audited sites: the cycle-ratio solver's edge table (mcm.cpp,
-// incremental.cpp), the state-space store (throughput.cpp), and the
+// flat_hsdf.cpp), the state-space store (throughput.cpp), and the
 // admission plan cache (admission.hpp).
 #include <gtest/gtest.h>
 

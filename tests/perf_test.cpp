@@ -31,6 +31,9 @@ namespace {
 
 constexpr std::uint64_t kSeeds = 125;
 
+/// computeThroughput() with the MCR engine forced.
+constexpr ThroughputOptions kForcedMcr{.engine = ThroughputEngine::Mcr};
+
 /// Full-field equality of two ThroughputResults, excluding the
 /// wall-clock phase counters (the one documented exception).
 void expectSameResult(const ThroughputResult& got, const ThroughputResult& want,
@@ -49,7 +52,7 @@ TEST(PerfWall, FlatExpansionMatchesLegacyHsdfExpansion) {
     const sdf::Graph g = test::randomConsistentGraph(rng);
     const sdf::TimedGraph timed{g, test::randomExecTimes(rng, g)};
 
-    const ThroughputResult flat = computeThroughputMcr(timed);
+    const ThroughputResult flat = computeThroughput(timed, kForcedMcr);
 
     // Reference: the graph-materializing expansion with collapsed
     // parallel edges feeding a cold solver.
@@ -91,7 +94,7 @@ TEST(PerfWall, WarmStartIsResultIdentical) {
     const sdf::Graph g = test::randomConsistentGraph(rng);
     const sdf::TimedGraph timed{g, test::randomExecTimes(rng, g)};
 
-    const ThroughputResult cold = computeThroughputMcr(timed);
+    const ThroughputResult cold = computeThroughput(timed, kForcedMcr);
 
     // Twice in a row on one context: the second solve warm-starts from
     // the first's converged policy.
