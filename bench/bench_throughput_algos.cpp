@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "analysis/buffer.hpp"
 #include "analysis/mcm.hpp"
 #include "analysis/throughput.hpp"
 #include "sdf/graph.hpp"
@@ -122,15 +121,6 @@ void BM_ScheduledThroughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduledThroughput)->Args({64, 16})->Args({128, 32})->Args({256, 64});
-
-void BM_BufferSizing(benchmark::State& state) {
-  const auto timed = makeRing(static_cast<std::uint32_t>(state.range(0)), 2, 7);
-  for (auto _ : state) {
-    const auto result = analysis::minimalDeadlockFreeCapacities(timed.graph);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_BufferSizing)->Arg(4)->Arg(8)->Arg(16);
 
 /// Perf regression gate: mean wall time per computeThroughput call on
 /// the unified MCR fast path over the three trajectory ring sizes,

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "analysis/self_timed.hpp"
-#include "sdf/repetition_vector.hpp"
 
 namespace mamps::analysis {
 
@@ -86,27 +85,6 @@ bool completesBudget(SelfTimedExecution& execution) {
   return std::all_of(budget.begin(), budget.end(), [](std::uint64_t b) { return b == 0; });
 }
 
-/// The channel to grow after a stalled iteration: the first
-/// space-blocked output of the first actor with budget left whose
-/// forward inputs hold their tokens.
-std::optional<ChannelId> blockedChannel(const Graph& g, const SelfTimedExecution& execution,
-                                        const std::vector<ChannelId>& spaceEdge) {
-  const auto& tokens = execution.tokens();
-  const auto holds = [&](ChannelId c) { return tokens[c] >= g.channel(c).consRate; };
-  for (ActorId a = 0; a < g.actorCount(); ++a) {
-    const auto& inputs = g.actor(a).inputs;
-    if (execution.budget()[a] == 0 || !std::all_of(inputs.begin(), inputs.end(), holds)) {
-      continue;
-    }
-    for (const ChannelId c : g.actor(a).outputs) {
-      if (spaceEdge[c] != sdf::kInvalidChannel && tokens[spaceEdge[c]] < g.channel(c).prodRate) {
-        return c;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 bool isDeadlockFree(const Graph& g, std::span<const std::uint64_t> q) {
@@ -116,44 +94,6 @@ bool isDeadlockFree(const Graph& g, std::span<const std::uint64_t> q) {
   }
   SelfTimedExecution execution(g, {}, nullptr, q);
   return completesBudget(execution);
-}
-
-std::optional<BufferCapacities> minimalDeadlockFreeCapacities(const Graph& g) {
-  const auto qOpt = sdf::computeRepetitionVector(g);
-  if (!qOpt) {
-    throw AnalysisError("minimalDeadlockFreeCapacities: inconsistent graph");
-  }
-  if (!isDeadlockFree(g, *qOpt)) {
-    return std::nullopt;  // deadlocks even with unbounded buffers
-  }
-  BufferCapacities capacities(g.channelCount(), 0);
-  for (ChannelId c = 0; c < g.channelCount(); ++c) {
-    if (!g.channel(c).isSelfEdge()) {
-      capacities[c] = capacityLowerBound(g.channel(c));
-    }
-  }
-  std::vector<ChannelId> spaceEdge;
-  Graph capacitated = withCapacities(g, capacities, &spaceEdge);
-  // Demand-driven growth. An upper bound on any needed capacity is the
-  // total tokens moved in one iteration, so this terminates.
-  for (std::uint64_t round = 0;; ++round) {
-    SelfTimedExecution execution(capacitated, {}, nullptr, *qOpt);
-    if (completesBudget(execution)) {
-      return capacities;
-    }
-    const std::optional<ChannelId> blocked = blockedChannel(g, execution, spaceEdge);
-    if (!blocked) {
-      // Deadlock not caused by capacities — cannot happen because the
-      // unbounded graph is deadlock-free, but guard against it.
-      return std::nullopt;
-    }
-    capacities[*blocked] += g.channel(*blocked).prodRate;
-    capacitated.setInitialTokens(spaceEdge[*blocked],
-                                 capacities[*blocked] - g.channel(*blocked).initialTokens);
-    if (round > 1'000'000) {
-      throw AnalysisError("minimalDeadlockFreeCapacities: runaway growth");
-    }
-  }
 }
 
 }  // namespace mamps::analysis

@@ -1,9 +1,9 @@
-// Deadlock and storage-distribution (buffer capacity) analysis.
+// Deadlock check and bounded-buffer (capacity) modelling.
 //
-// Both run one iteration of the graph on the self-timed executor
-// (analysis/self_timed.hpp), each actor's budget its repetition count,
-// with one-cycle firings and every actor serialized: token counting
-// only, since execution times are irrelevant to deadlock in SDF.
+// The deadlock check runs one iteration of the graph on the self-timed
+// executor (analysis/self_timed.hpp), each actor's budget its repetition
+// count, with one-cycle firings and every actor serialized: token
+// counting only, since execution times are irrelevant to deadlock in SDF.
 //
 // A bounded channel buffer is modeled by a reverse edge carrying "space
 // tokens" (Stuijk [14]): a channel with capacity beta tokens gets a
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -65,13 +64,5 @@ using BufferCapacities = std::vector<std::uint64_t>;
 /// @return true when every actor completes its q firings
 /// @throws AnalysisError when `q` does not have one entry per actor
 [[nodiscard]] bool isDeadlockFree(const sdf::Graph& g, std::span<const std::uint64_t> q);
-
-/// Smallest per-channel capacities (found by demand-driven search) for
-/// which the graph executes one iteration without deadlock.
-/// @param g the graph to size
-/// @return the capacities, or nullopt when the uncapacitated graph
-///   itself deadlocks
-/// @throws AnalysisError when `g` is inconsistent
-[[nodiscard]] std::optional<BufferCapacities> minimalDeadlockFreeCapacities(const sdf::Graph& g);
 
 }  // namespace mamps::analysis

@@ -44,14 +44,13 @@ class IncrementalThroughput {
   /// runs the state-space engine on the internal graph copy. So under
   /// a forced MCR engine (which the flow never uses) a static order
   /// that does not cover one iteration throws here, and an expansion
-  /// above `options.maxMcrHsdfSize` is built here and onFastPath() is
-  /// true, as computeThroughput() ignores the cap for forced MCR.
+  /// above the size cap of Auto is built here and onFastPath() is true,
+  /// as computeThroughput() ignores the cap for forced MCR.
   /// @param timed the graph to analyze (copied; `timed.execTime` must
   ///   have one entry per actor)
   /// @param resources optional binding and static orders (copied; may
   ///   be null)
-  /// @param options engine selection and safety limits, applied to
-  ///   every compute() call
+  /// @param options engine selection, applied to every compute() call
   /// @throws AnalysisError on shape violations (execTime size, invalid
   ///   resource constraints), when a forced MCR engine cannot encode
   ///   the static orders, or when an execution time or delay of the

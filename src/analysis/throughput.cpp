@@ -30,7 +30,6 @@ using StateKey = std::vector<std::uint64_t>;
 struct Visit {
   std::uint64_t time = 0;
   std::uint64_t completions = 0;
-  std::uint64_t step = 0;
 };
 
 StateKey encodeState(const SelfTimedExecution& execution, std::size_t actorCount) {
@@ -45,16 +44,16 @@ StateKey encodeState(const SelfTimedExecution& execution, std::size_t actorCount
 }
 
 /// Safety cap on the quiescent steps of one state-space run: past it the
-/// engine gives up with Status::StepLimit.
-constexpr std::uint64_t kMaxStateSpaceSteps = 10'000'000;
+/// engine gives up with Status::StepLimit. Each step returns or stores
+/// one new state, so the cap also bounds the state store.
+constexpr std::uint64_t kMaxStateSpaceSteps = 1u << 20;
 
 /// The state-space engine: run the self-timed execution quiescent point
 /// by quiescent point until a state recurs. `q` is the graph's
 /// repetition vector.
 ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
                                    const ResourceConstraints* resources,
-                                   const std::vector<std::uint64_t>& q,
-                                   std::uint64_t maxStoredStates) {
+                                   const std::vector<std::uint64_t>& q) {
   const Graph& graph = timed.graph;
   ThroughputResult result;
   result.engine = ThroughputEngine::StateSpace;
@@ -82,8 +81,6 @@ ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
   const auto cost = [&timed](ActorId a) { return timed.execTime[a]; };
   const auto done = [](ActorId) {};
   std::map<StateKey, Visit> seen;
-  std::uint64_t pruned = 0;
-  const std::uint64_t storeLimit = std::max<std::uint64_t>(maxStoredStates, 16);
 
   for (std::uint64_t step = 0; step < kMaxStateSpaceSteps; ++step) {
     // Quiescent point: start everything startable, complete all
@@ -99,24 +96,24 @@ ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
     }
     if (totalTokens > divergenceThreshold) {
       result.status = ThroughputResult::Status::Diverged;
-      result.statesExplored = seen.size() + pruned;
+      result.statesExplored = seen.size();
       return result;
     }
 
     if (!execution.active()) {
       result.status = ThroughputResult::Status::Deadlock;
-      result.statesExplored = seen.size() + pruned;
+      result.statesExplored = seen.size();
       return result;
     }
 
     const auto [visit, inserted] = seen.try_emplace(
         encodeState(execution, graph.actorCount()),
-        Visit{execution.now(), execution.referenceCompletions(), step});
+        Visit{execution.now(), execution.referenceCompletions()});
     if (!inserted) {
       const Visit& prev = visit->second;
       const std::uint64_t period = execution.now() - prev.time;
       const std::uint64_t completions = execution.referenceCompletions() - prev.completions;
-      result.statesExplored = seen.size() + pruned;
+      result.statesExplored = seen.size();
       result.periodCycles = period;
       if (period == 0) {
         // Cannot happen: time strictly advances between quiescent
@@ -136,24 +133,10 @@ ThroughputResult exploreStateSpace(const sdf::TimedGraph& timed,
                                            static_cast<std::int64_t>(cycles));
       return result;
     }
-
-    // Prefix pruning: the oldest stored states belong to the transient
-    // prefix (or to laps of the periodic phase that have younger
-    // equivalents). Dropping them keeps memory bounded; as long as the
-    // periodic phase fits in the retained window (~storeLimit/2 steps)
-    // a younger copy of a periodic state is revisited and detection
-    // still occurs. A period longer than the window ends in StepLimit —
-    // raise maxStoredStates for such graphs.
-    if (seen.size() > storeLimit) {
-      const std::uint64_t watermark = step - storeLimit / 2;
-      pruned += std::erase_if(seen,
-                              [&](const auto& entry) { return entry.second.step < watermark; });
-    }
-
     execution.advance();
   }
   result.status = ThroughputResult::Status::StepLimit;
-  result.statesExplored = seen.size() + pruned;
+  result.statesExplored = seen.size();
   return result;
 }
 
@@ -162,6 +145,11 @@ void saturatingAdd(std::uint64_t& total, std::uint64_t amount) {
   const std::uint64_t headroom = std::numeric_limits<std::uint64_t>::max() - total;
   total += std::min(amount, headroom);
 }
+
+/// Auto falls back to the state-space engine when hsdfSizeEstimate()
+/// exceeds this many actors plus edges (guards against graphs whose
+/// repetition vector explodes the expansion).
+constexpr std::uint64_t kMaxMcrHsdfSize = 1'000'000;
 
 /// Estimated HSDF expansion size (actors + edges), saturating.
 std::uint64_t hsdfSizeEstimate(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
@@ -192,7 +180,7 @@ std::uint64_t hsdfSizeEstimate(const sdf::TimedGraph& timed, const ResourceConst
 /// made here and nowhere else: check the shapes, compute the repetition
 /// vector once, and pick the engine. The state-space engine runs when
 /// it is forced, or under Auto when the estimated expansion exceeds
-/// `options.maxMcrHsdfSize`. Otherwise `flat` is built; a static order
+/// kMaxMcrHsdfSize. Otherwise `flat` is built; a static order
 /// it cannot encode sends Auto to the state-space engine and makes a
 /// forced MCR engine throw. No self-concurrency limit forces the
 /// state-space engine: the expansion encodes every finite limit.
@@ -211,7 +199,7 @@ bool decide(const sdf::TimedGraph& timed, const ResourceConstraints* resources,
   q = sdf::computeRepetitionVector(timed.graph);
   if (!q || options.engine == ThroughputEngine::StateSpace ||
       (options.engine == ThroughputEngine::Auto &&
-       hsdfSizeEstimate(timed, resources, *q) > options.maxMcrHsdfSize)) {
+       hsdfSizeEstimate(timed, resources, *q) > kMaxMcrHsdfSize)) {
     return false;
   }
   if (flat.build(timed, resources, *q)) {
@@ -242,7 +230,7 @@ ThroughputResult solveStateSpace(const sdf::TimedGraph& timed, const ResourceCon
   std::uint64_t solveNanos = 0;
   {
     support::ScopedTimer timer(solveNanos);
-    result = exploreStateSpace(timed, resources, *q, options.maxStoredStates);
+    result = exploreStateSpace(timed, resources, *q);
   }
   result.solveNanos = solveNanos;
   return result;

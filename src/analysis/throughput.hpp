@@ -63,8 +63,10 @@ struct ResourceConstraints {
 /// Selects the algorithm behind computeThroughput().
 enum class ThroughputEngine {
   /// Use the MCR fast path when it is exact for the requested semantics
-  /// (see docs/throughput.md for the precise conditions), otherwise
-  /// fall back to the state-space engine. The default.
+  /// and its HSDF expansion is estimated at no more than 10^6 actors
+  /// plus edges (kMaxMcrHsdfSize in throughput.cpp; see
+  /// docs/throughput.md for the precise conditions), otherwise fall
+  /// back to the state-space engine. The default.
   Auto,
   /// Force the state-space engine (always defined; exponential worst
   /// case; the only engine with divergence detection).
@@ -83,21 +85,10 @@ enum class ThroughputEngine {
 /// @return a static, never-null C string
 [[nodiscard]] const char* throughputEngineName(ThroughputEngine engine);
 
-/// Tuning knobs for computeThroughput().
+/// Engine selection for computeThroughput() and IncrementalThroughput.
 struct ThroughputOptions {
   /// Which engine to run; see ThroughputEngine.
   ThroughputEngine engine = ThroughputEngine::Auto;
-  /// Auto only: fall back to the state-space engine when the HSDF
-  /// expansion would exceed this many actors plus edges (guards against
-  /// graphs whose repetition vector explodes the expansion).
-  std::uint64_t maxMcrHsdfSize = 1'000'000;
-  /// State-space only: bound on the number of stored quiescent states.
-  /// When the store grows past this, the oldest (transient-prefix)
-  /// states are pruned; recurrence detection then latches onto a later
-  /// revisit of the periodic phase, trading steps for memory. Periodic
-  /// phases longer than roughly half this bound can no longer be
-  /// detected and end in Status::StepLimit.
-  std::uint64_t maxStoredStates = 1u << 20;
 };
 
 /// Outcome of a throughput analysis.
@@ -112,9 +103,9 @@ struct ThroughputResult {
                    ///< strongly bounded; analyze with buffer capacities
                    ///< or use the MCR engine, which reports the long-run
                    ///< iteration rate for such graphs)
-    StepLimit,     ///< the state-space engine ran 10,000,000 quiescent
-                   ///< steps (kMaxStateSpaceSteps in throughput.cpp)
-                   ///< without a recurrent state
+    StepLimit,     ///< the state-space engine ran 2^20 quiescent steps
+                   ///< (kMaxStateSpaceSteps in throughput.cpp), and so
+                   ///< stored 2^20 states, without a recurrent state
   };
 
   /// Verdict; iterationsPerCycle is only meaningful for Ok.
@@ -124,9 +115,8 @@ struct ThroughputResult {
   Rational iterationsPerCycle = Rational(0);
   /// The engine that produced this result (never Auto).
   ThroughputEngine engine = ThroughputEngine::StateSpace;
-  /// State-space engine: number of quiescent states explored until the
-  /// verdict (stored states plus states dropped by prefix pruning; a
-  /// pruned-then-revisited state counts in both).
+  /// State-space engine: number of distinct quiescent states stored
+  /// until the verdict.
   std::uint64_t statesExplored = 0;
   /// State-space engine: length of the periodic phase in clock cycles.
   std::uint64_t periodCycles = 0;
@@ -155,7 +145,7 @@ struct ThroughputResult {
 /// by `options.engine` (Auto picks the MCR fast path when exact).
 /// @param timed the graph to analyze; `timed.execTime` must have one
 ///   entry per actor
-/// @param options engine selection and safety limits
+/// @param options engine selection
 /// @return the throughput verdict, including which engine ran
 /// @throws AnalysisError on shape violations, when a forced engine
 ///   cannot represent the requested semantics, or when execution times,
@@ -172,7 +162,7 @@ struct ThroughputResult {
 /// @param timed the graph to analyze; `timed.execTime` must have one
 ///   entry per actor
 /// @param resources the binding and static-order schedules
-/// @param options engine selection and safety limits
+/// @param options engine selection
 /// @return the throughput verdict, including which engine ran
 /// @throws AnalysisError on shape violations, when a forced engine
 ///   cannot represent the requested semantics, or when execution times,

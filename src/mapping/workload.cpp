@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "analysis/buffer.hpp"
 #include "analysis/incremental.hpp"
@@ -104,19 +105,17 @@ void growBuffers(const sdf::Graph& g, Mapping& mapping) {
 }
 
 /// Push the mapping's current buffer sizes into the binding-aware model
-/// (and, when given, the incremental analysis context) by patching the
-/// capacity back-edges' initial tokens — the only part of the model that
-/// depends on buffer sizes, so this replaces a full rebuild.
+/// and the incremental analysis context by patching the capacity
+/// back-edges' initial tokens — the only part of the model that depends
+/// on buffer sizes, so this replaces a full rebuild.
 void patchCapacityTokens(const sdf::Graph& g, const Mapping& mapping, BindingAwareModel& model,
-                         analysis::IncrementalThroughput* context) {
+                         analysis::IncrementalThroughput& context) {
   const auto apply = [&](ChannelId id, std::uint64_t tokens) {
     if (id == sdf::kInvalidChannel) {
       return;
     }
     model.graph.graph.setInitialTokens(id, tokens);
-    if (context != nullptr) {
-      context->setInitialTokens(id, tokens);
-    }
+    context.setInitialTokens(id, tokens);
   };
   for (ChannelId c = 0; c < g.channelCount(); ++c) {
     const sdf::Channel& channel = g.channel(c);
@@ -237,47 +236,41 @@ std::optional<MappingResult> mapOntoBudget(const AppAnalysisCache& cache,
   const auto constraintMet = [&](const analysis::ThroughputResult& t) {
     return t.ok() && (constraint.isZero() || t.iterationsPerCycle >= constraint);
   };
+  // With incremental analysis the model is built once: growth rounds
+  // only change capacity back-edge tokens, which are patched into the
+  // model and the context instead of rebuilding and re-expanding. The
+  // from-scratch baseline rebuilds the model and re-runs the unified
+  // analysis every round (bit-identical to the incremental path).
+  result.model = buildBindingAware(app, arch, result.mapping, wcet);
+  std::optional<analysis::IncrementalThroughput> context;
   if (options.incrementalAnalysis) {
-    // Build the binding-aware model once; growth rounds only change
-    // capacity back-edge tokens, which are patched into the model and
-    // the incremental context instead of rebuilding and re-expanding.
-    result.model = buildBindingAware(app, arch, result.mapping, wcet);
-    analysis::IncrementalThroughput context(result.model.graph, &result.model.resources);
+    context.emplace(result.model.graph, &result.model.resources);
     // Cross-run warm start: seed the first solve from the caller's
     // handle (e.g. the previous design point of a DSE sweep) and hand
     // the converged policy back after the growth loop. Acceleration
     // only — results never depend on the seed.
     if (options.solverWarmStart != nullptr) {
-      context.adoptWarmStart(*options.solverWarmStart);
+      context->adoptWarmStart(*options.solverWarmStart);
     }
-    result.throughput = context.compute();
-    for (std::uint32_t round = 0;; ++round) {
-      const bool met = constraintMet(result.throughput);
-      if (met || round >= options.bufferGrowthRounds) {
-        result.meetsConstraint = met;
-        break;
-      }
-      growBuffers(g, result.mapping);
-      patchCapacityTokens(g, result.mapping, result.model, &context);
-      result.throughput = context.compute();
+  }
+  for (std::uint32_t round = 0;; ++round) {
+    result.throughput = context ? context->compute()
+                                : analysis::computeThroughput(result.model.graph,
+                                                              result.model.resources);
+    const bool met = constraintMet(result.throughput);
+    if (met || round >= options.bufferGrowthRounds) {
+      result.meetsConstraint = met;
+      break;
     }
-    if (options.solverWarmStart != nullptr && context.onFastPath()) {
-      context.exportWarmStart(*options.solverWarmStart);
-    }
-  } else {
-    // From-scratch baseline: rebuild the model and re-run the unified
-    // analysis every round (bit-identical to the incremental path).
-    for (std::uint32_t round = 0;; ++round) {
+    growBuffers(g, result.mapping);
+    if (context) {
+      patchCapacityTokens(g, result.mapping, result.model, *context);
+    } else {
       result.model = buildBindingAware(app, arch, result.mapping, wcet);
-      result.throughput =
-          analysis::computeThroughput(result.model.graph, result.model.resources);
-      const bool met = constraintMet(result.throughput);
-      if (met || round >= options.bufferGrowthRounds) {
-        result.meetsConstraint = met;
-        break;
-      }
-      growBuffers(g, result.mapping);
     }
+  }
+  if (context && options.solverWarmStart != nullptr && context->onFastPath()) {
+    context->exportWarmStart(*options.solverWarmStart);
   }
   budget = std::move(work);
   return result;

@@ -372,15 +372,6 @@ std::vector<std::uint32_t> ResourceBudget::strandedClients() const {
   });
 }
 
-std::vector<std::uint32_t> ResourceBudget::liveFslLinks() const {
-  std::vector<std::uint32_t> live;
-  for (const auto& [client, ledger] : ledgers_) {
-    live.insert(live.end(), ledger.fslLinks.begin(), ledger.fslLinks.end());
-  }
-  std::sort(live.begin(), live.end());
-  return live;
-}
-
 const ClientLedger* ResourceBudget::ledger(std::uint32_t client) const {
   const auto it = ledgers_.find(client);
   return it == ledgers_.end() ? nullptr : &it->second;

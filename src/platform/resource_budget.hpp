@@ -340,10 +340,6 @@ class ResourceBudget {
   /// @return stranded client ids, ascending, each listed once
   [[nodiscard]] std::vector<std::uint32_t> strandedClients() const;
 
-  /// FSL link indices currently held by clients, ascending.
-  /// @return every live index across all ledgers
-  [[nodiscard]] std::vector<std::uint32_t> liveFslLinks() const;
-
   // ------------------------------------------------- release / equality
 
   /// The committed reservations of one client, exactly as release()

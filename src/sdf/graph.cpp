@@ -103,16 +103,6 @@ void Graph::setInitialTokens(ChannelId id, std::uint64_t tokens) {
   channels_[id].initialTokens = tokens;
 }
 
-void Graph::setTokenSize(ChannelId id, std::uint32_t bytes) {
-  if (id >= channels_.size()) {
-    throw ModelError("channel id out of range");
-  }
-  if (bytes == 0) {
-    throw ModelError("token size must be positive");
-  }
-  channels_[id].tokenSizeBytes = bytes;
-}
-
 bool Graph::isConnected() const {
   if (actors_.empty()) {
     return true;

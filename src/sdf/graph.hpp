@@ -100,8 +100,6 @@ class Graph {
   /// Change the initial-token count of a channel (used when assigning
   /// buffer capacities and schedule edges).
   void setInitialTokens(ChannelId id, std::uint64_t tokens);
-  /// Change the token size of a channel.
-  void setTokenSize(ChannelId id, std::uint32_t bytes);
 
   /// True when every actor is reachable from every other actor treating
   /// channels as undirected edges. The empty graph is connected.

@@ -1,5 +1,5 @@
-// Minimal leveled logging. Tools in the flow report progress at Info;
-// analyses report detail at Debug. Quiet by default in tests.
+// Minimal leveled logging to stderr behind one global level filter
+// (Warning by default). The flow reports through logWarning.
 #pragma once
 
 #include <string>
@@ -15,9 +15,6 @@ void setLogLevel(LogLevel level);
 /// Emit one log line to stderr when `level` passes the global filter.
 void logMessage(LogLevel level, const std::string& message);
 
-inline void logDebug(const std::string& message) { logMessage(LogLevel::Debug, message); }
-inline void logInfo(const std::string& message) { logMessage(LogLevel::Info, message); }
 inline void logWarning(const std::string& message) { logMessage(LogLevel::Warning, message); }
-inline void logError(const std::string& message) { logMessage(LogLevel::Error, message); }
 
 }  // namespace mamps

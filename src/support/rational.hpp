@@ -28,7 +28,6 @@ class Rational {
   [[nodiscard]] constexpr std::int64_t den() const { return den_; }
 
   [[nodiscard]] constexpr bool isZero() const { return num_ == 0; }
-  [[nodiscard]] constexpr bool isInteger() const { return den_ == 1; }
   [[nodiscard]] double toDouble() const { return static_cast<double>(num_) / static_cast<double>(den_); }
   [[nodiscard]] std::string toString() const;
 

@@ -32,10 +32,6 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
 std::uint64_t parseU64(std::string_view s) {
   s = trim(s);
   std::uint64_t value = 0;
@@ -60,22 +56,6 @@ std::int64_t parseI64(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size() || s.empty()) {
     throw ParseError("not an integer: '" + std::string(s) + "'");
-  }
-  return value;
-}
-
-double parseDouble(std::string_view s) {
-  s = trim(s);
-  if (s.empty()) {
-    throw ParseError("not a number: ''");
-  }
-  // std::from_chars<double> is available in libstdc++ 11+; keep strtod as
-  // the portable route but validate full consumption.
-  const std::string copy(s);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) {
-    throw ParseError("not a number: '" + copy + "'");
   }
   return value;
 }

@@ -14,9 +14,6 @@ namespace mamps {
 /// Split on a separator character; empty fields are kept.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);
 
-/// True when `s` starts with `prefix`.
-[[nodiscard]] bool startsWith(std::string_view s, std::string_view prefix);
-
 /// Parse a non-negative integer; throws mamps::ParseError on junk.
 [[nodiscard]] std::uint64_t parseU64(std::string_view s);
 
@@ -27,9 +24,6 @@ namespace mamps {
 
 /// Parse a signed integer; throws mamps::ParseError on junk.
 [[nodiscard]] std::int64_t parseI64(std::string_view s);
-
-/// Parse a double; throws mamps::ParseError on junk.
-[[nodiscard]] double parseDouble(std::string_view s);
 
 /// printf-style formatting into a std::string.
 [[nodiscard]] std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -1,9 +1,8 @@
 // Property-based tests on randomized consistent SDF graphs. These pin
 // the relations between the independent implementations: repetition
 // vectors satisfy the balance equations, the state-space throughput
-// analysis agrees with the MCR analysis on the HSDF expansion, buffer
-// capacities preserve liveness, and throughput is monotone in buffer
-// capacity.
+// analysis agrees with the MCR analysis on the HSDF expansion, and
+// throughput is monotone in buffer capacity.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -118,7 +117,7 @@ TEST_P(RandomGraphProperty, StateSpaceThroughputMatchesMcrOnHsdf) {
   // Compare on the strongly-bounded (capacitated) graph: state-space
   // analysis requires bounded token accumulation, and the flow only ever
   // analyzes binding-aware graphs, which are bounded by construction.
-  const auto capacities = minimalDeadlockFreeCapacities(g);
+  const auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   const TimedGraph bounded =
       withCapacities(TimedGraph{g, test::randomExecTimes(rng, g)}, *capacities);
@@ -144,7 +143,7 @@ TEST_P(RandomGraphProperty, ResourceConstrainedEnginesAgree) {
   opt.maxActors = 4;
   opt.maxQ = 3;
   const Graph g = test::randomConsistentGraph(rng, opt);
-  const auto capacities = minimalDeadlockFreeCapacities(g);
+  const auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   TimedGraph bounded = withCapacities(TimedGraph{g, test::randomExecTimes(rng, g)}, *capacities);
   const auto q = *sdf::computeRepetitionVector(bounded.graph);
@@ -202,7 +201,7 @@ TEST_P(RandomGraphProperty, IncrementalMatchesFromScratchAcrossBufferGrowth) {
   opt.maxActors = 5;
   opt.maxQ = 3;
   const Graph g = test::randomConsistentGraph(rng, opt);
-  const auto capacities = minimalDeadlockFreeCapacities(g);
+  const auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   TimedGraph bounded =
       withCapacities(TimedGraph{g, test::randomExecTimes(rng, g)}, *capacities);
@@ -239,7 +238,7 @@ TEST_P(RandomGraphProperty, IncrementalMatchesFromScratchUnderSchedules) {
   opt.maxActors = 4;
   opt.maxQ = 3;
   const Graph g = test::randomConsistentGraph(rng, opt);
-  const auto capacities = minimalDeadlockFreeCapacities(g);
+  const auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   TimedGraph bounded =
       withCapacities(TimedGraph{g, test::randomExecTimes(rng, g)}, *capacities);
@@ -293,7 +292,7 @@ TEST_P(RandomGraphProperty, ConcurrencyLimitedEnginesAgree) {
   opt.maxActors = 4;
   opt.maxQ = 3;
   const Graph g = test::randomConsistentGraph(rng, opt);
-  const auto capacities = minimalDeadlockFreeCapacities(g);
+  const auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   TimedGraph bounded =
       withCapacities(TimedGraph{g, test::randomExecTimes(rng, g)}, *capacities);
@@ -327,7 +326,7 @@ TEST_P(RandomGraphProperty, WithCapacitiesPreservesConcurrencyLimits) {
   opt.maxActors = 4;
   opt.maxQ = 3;
   const Graph g = test::randomConsistentGraph(rng, opt);
-  const auto capacities = minimalDeadlockFreeCapacities(g);
+  const auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   TimedGraph timed{g, test::randomExecTimes(rng, g)};
   timed.maxConcurrent.resize(timed.graph.actorCount());
@@ -368,14 +367,6 @@ TEST_P(RandomGraphProperty, HowardMatchesBruteForceOnRandomHsdf) {
   }
 }
 
-TEST_P(RandomGraphProperty, MinimalCapacitiesPreserveLiveness) {
-  Rng rng = makeRng(6000);
-  const Graph g = test::randomConsistentGraph(rng);
-  const auto capacities = minimalDeadlockFreeCapacities(g);
-  ASSERT_TRUE(capacities.has_value());
-  EXPECT_TRUE(test::isDeadlockFree(withCapacities(g, *capacities)));
-}
-
 TEST_P(RandomGraphProperty, BoundedThroughputNeverExceedsUnbounded) {
   Rng rng = makeRng(7000);
   test::RandomGraphOptions opt;
@@ -386,7 +377,7 @@ TEST_P(RandomGraphProperty, BoundedThroughputNeverExceedsUnbounded) {
   const auto unbounded = computeThroughput(timed, kForcedMcr);
   ASSERT_TRUE(unbounded.ok());
 
-  auto capacities = minimalDeadlockFreeCapacities(g);
+  auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
   const auto bounded = computeThroughput(withCapacities(timed, *capacities));
   ASSERT_TRUE(bounded.ok());
@@ -399,7 +390,7 @@ TEST_P(RandomGraphProperty, ThroughputMonotoneUnderCapacityGrowth) {
   opt.maxActors = 4;
   const Graph g = test::randomConsistentGraph(rng, opt);
   const TimedGraph timed{g, test::randomExecTimes(rng, g)};
-  auto capacities = minimalDeadlockFreeCapacities(g);
+  auto capacities = test::liveCapacities(g);
   ASSERT_TRUE(capacities.has_value());
 
   Rational previous(0);

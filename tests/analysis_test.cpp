@@ -133,7 +133,7 @@ TEST(ThroughputTest, McrResolvesDivergentGraph) {
 
 TEST(ThroughputTest, Figure2WithCapacitiesMatchesMcr) {
   const TimedGraph timed{test::figure2Graph(), {1, 1, 1}};
-  const auto capacities = minimalDeadlockFreeCapacities(timed.graph);
+  const auto capacities = test::liveCapacities(timed.graph);
   ASSERT_TRUE(capacities.has_value());
   const TimedGraph bounded = withCapacities(timed, *capacities);
   const auto result = computeThroughput(bounded);
@@ -394,12 +394,11 @@ TEST(EngineDispatchTest, AutoPicksMcrAndMatchesStateSpace) {
 }
 
 TEST(EngineDispatchTest, ExpansionSizeCapFallsBackToStateSpace) {
-  const sdf::TimedGraph timed{test::ringGraph(3), {1, 2, 3}};
-  ThroughputOptions options;
-  options.maxMcrHsdfSize = 1;  // every expansion exceeds this
-  const auto result = computeThroughput(timed, options);
+  const sdf::TimedGraph timed{test::oversizedExpansionCycle(), {3, 7}};
+  const auto result = computeThroughput(timed);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.engine, ThroughputEngine::StateSpace);
+  EXPECT_EQ(result.iterationsPerCycle, Rational(1, 10));
 }
 
 TEST(EngineDispatchTest, EngineNames) {
@@ -487,18 +486,22 @@ TEST(EngineDispatchTest, ScheduledDeadlockAgreesAcrossEngines) {
             ThroughputResult::Status::Deadlock);
 }
 
-TEST(EngineDispatchTest, PrefixPruningKeepsResultExact) {
-  // A tiny stored-state budget forces the pruner to drop transient
-  // states; the detected period must still yield the exact throughput.
-  const sdf::TimedGraph timed{test::ringGraph(5), {3, 1, 4, 1, 5}};
-  ThroughputOptions pruned;
-  pruned.engine = ThroughputEngine::StateSpace;
-  pruned.maxStoredStates = 4;  // clamped to the internal minimum of 16
-  const auto result = computeThroughput(timed, pruned);
-  ASSERT_TRUE(result.ok());
-  const auto mcr = computeThroughput(timed, kForcedMcr);
-  ASSERT_TRUE(mcr.ok());
-  EXPECT_EQ(result.iterationsPerCycle, mcr.iterationsPerCycle);
+TEST(EngineDispatchTest, StateSpaceStepCapEndsInStepLimit) {
+  // a fires T times, one per cycle, before b's first 2T-cycle firing
+  // ends: a transient longer than the cap of 2^20 quiescent steps. Each
+  // step stores one new state, so the engine stops with exactly 2^20.
+  constexpr std::uint64_t kTokens = 1u << 20;
+  Graph g;
+  const auto a = g.addActor("a");
+  const auto b = g.addActor("b");
+  g.connect(a, 1, b, 1);
+  g.connect(b, 1, a, 1, kTokens);
+  const TimedGraph timed{std::move(g), {1, 2 * kTokens}};
+  ThroughputOptions forced;
+  forced.engine = ThroughputEngine::StateSpace;
+  const auto result = computeThroughput(timed, forced);
+  EXPECT_EQ(result.status, ThroughputResult::Status::StepLimit);
+  EXPECT_EQ(result.statesExplored, std::uint64_t{1} << 20);
 }
 
 // ----------------------------------------------------------- HsdfEdgeCases
@@ -533,7 +536,7 @@ TEST(HsdfEdgeCaseTest, MultiRateChainWithLargeRepetitionVector) {
   g.connect(a, 5, b, 3, 0, "ab");
   g.connect(b, 1, c, 3, 0, "bc");
   const TimedGraph timed{std::move(g), {7, 2, 3}};
-  const auto capacities = minimalDeadlockFreeCapacities(timed.graph);
+  const auto capacities = test::liveCapacities(timed.graph);
   ASSERT_TRUE(capacities.has_value());
   const TimedGraph bounded = withCapacities(timed, *capacities);
 
@@ -731,30 +734,6 @@ TEST(BufferTest, LowerBoundFormula) {
   EXPECT_EQ(capacityLowerBound(c), 4u);
 }
 
-TEST(BufferTest, MinimalCapacitiesKeepGraphLive) {
-  const Graph g = test::figure2Graph();
-  const auto capacities = minimalDeadlockFreeCapacities(g);
-  ASSERT_TRUE(capacities.has_value());
-  EXPECT_TRUE(test::isDeadlockFree(withCapacities(g, *capacities)));
-}
-
-TEST(BufferTest, MinimalCapacitiesOfPipeline) {
-  const Graph g = test::pipelineGraph(2, 3);
-  const auto capacities = minimalDeadlockFreeCapacities(g);
-  ASSERT_TRUE(capacities.has_value());
-  EXPECT_GE((*capacities)[0], 4u);
-  EXPECT_TRUE(test::isDeadlockFree(withCapacities(g, *capacities)));
-}
-
-TEST(BufferTest, DeadlockedGraphHasNoCapacities) {
-  Graph g;
-  const auto a = g.addActor("a");
-  const auto b = g.addActor("b");
-  g.connect(a, 1, b, 1);
-  g.connect(b, 1, a, 1);
-  EXPECT_FALSE(minimalDeadlockFreeCapacities(g).has_value());
-}
-
 TEST(BufferTest, ThroughputIsMonotoneInCapacity) {
   Graph g;
   const auto a = g.addActor("a");
@@ -811,16 +790,11 @@ TEST(IncrementalTest, DetectsDeadlockAfterTokenRemoval) {
 }
 
 TEST(IncrementalTest, OversizedExpansionFallsBackToStateSpace) {
-  Graph g;
-  const auto a = g.addActor("a");
-  g.connect(a, 1, a, 1, 3, "state");
-  const TimedGraph timed{std::move(g), {5}};
-  ThroughputOptions options;
-  options.maxMcrHsdfSize = 1;  // every expansion exceeds this
-  IncrementalThroughput incremental(timed, nullptr, options);
+  const TimedGraph timed{test::oversizedExpansionCycle(), {3, 7}};
+  IncrementalThroughput incremental(timed);
   EXPECT_FALSE(incremental.onFastPath());
   const auto viaContext = incremental.compute();
-  const auto fresh = computeThroughput(timed, options);
+  const auto fresh = computeThroughput(timed);
   EXPECT_EQ(viaContext.engine, ThroughputEngine::StateSpace);
   ASSERT_EQ(viaContext.status, fresh.status);
   EXPECT_EQ(viaContext.iterationsPerCycle, fresh.iterationsPerCycle);
@@ -847,30 +821,24 @@ TEST(IncrementalTest, ForcedMcrOnAPartialScheduleThrowsFromTheConstructor) {
 }
 
 TEST(IncrementalTest, ForcedMcrAboveTheCapBuildsTheExpansionOnce) {
-  // Forced MCR ignores maxMcrHsdfSize, as computeThroughput does: the
-  // context builds the expansion in its constructor and patches it.
-  Graph g;
-  const auto a = g.addActor("a");
-  const auto b = g.addActor("b");
-  g.connect(a, 1, b, 1, 0, "fwd");
-  const auto back = g.connect(b, 1, a, 1, 1, "back");
-  TimedGraph timed{std::move(g), {3, 7}};
-  ThroughputOptions options;
-  options.engine = ThroughputEngine::Mcr;
-  options.maxMcrHsdfSize = 1;  // every expansion exceeds this
-  IncrementalThroughput incremental(timed, nullptr, options);
+  // Forced MCR ignores the expansion size cap, as computeThroughput
+  // does: the context builds the 10^6-edge expansion in its constructor
+  // and patches it.
+  TimedGraph timed{test::oversizedExpansionCycle(), {3, 7}};
+  const sdf::ChannelId back = 1;
+  IncrementalThroughput incremental(timed, nullptr, kForcedMcr);
   EXPECT_TRUE(incremental.onFastPath());
-  for (std::uint64_t tokens = 1; tokens <= 3; ++tokens) {
-    timed.graph.setInitialTokens(back, tokens);
-    incremental.setInitialTokens(back, tokens);
-    const auto fresh = computeThroughput(timed, options);
-    const auto patched = incremental.compute();
-    ASSERT_TRUE(patched.ok()) << "tokens " << tokens;
-    EXPECT_EQ(patched.engine, ThroughputEngine::Mcr);
-    EXPECT_EQ(patched.iterationsPerCycle, fresh.iterationsPerCycle) << "tokens " << tokens;
-    EXPECT_EQ(patched.hsdfActors, fresh.hsdfActors);
-    EXPECT_EQ(patched.expansionNanos, 0u);
-  }
+  const std::uint64_t tokens = 2 * timed.graph.channel(back).initialTokens;
+  timed.graph.setInitialTokens(back, tokens);
+  incremental.setInitialTokens(back, tokens);
+  const auto fresh = computeThroughput(timed, kForcedMcr);
+  const auto patched = incremental.compute();
+  ASSERT_TRUE(patched.ok());
+  EXPECT_EQ(patched.engine, ThroughputEngine::Mcr);
+  EXPECT_EQ(patched.iterationsPerCycle, fresh.iterationsPerCycle);
+  EXPECT_EQ(patched.iterationsPerCycle, Rational(1, 7));
+  EXPECT_EQ(patched.hsdfActors, fresh.hsdfActors);
+  EXPECT_EQ(patched.expansionNanos, 0u);
 }
 
 TEST(IncrementalTest, OutOfRangeChannelThrows) {
@@ -958,21 +926,17 @@ std::ostream& operator<<(std::ostream& out, const StateSpaceGolden& golden) {
 
 /// The corpus: seeded random graphs (0-20 cycles per actor, a fifth of
 /// them not provisioned to be live) run by the forced state-space engine
-/// plain, capacitated to their minimal deadlock-free buffers,
-/// capacitated with a 16-state store, and capacitated with every
-/// self-concurrency limit lifted; then random static-order rings,
+/// plain, capacitated to test::liveCapacities, and capacitated with
+/// every self-concurrency limit lifted; then random static-order rings,
 /// forced and Auto.
 std::vector<StateSpaceGolden> exploreStateSpaceCorpus() {
   std::vector<StateSpaceGolden> table = {{"plain"},
                                          {"capacitated"},
-                                         {"capacitated_store16"},
                                          {"capacitated_auto_concurrency"},
                                          {"ring_state_space"},
                                          {"ring_auto"}};
   ThroughputOptions forced;
   forced.engine = ThroughputEngine::StateSpace;
-  ThroughputOptions store16 = forced;
-  store16.maxStoredStates = 16;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     Rng rng(seed * 7907);
     test::RandomGraphOptions opt;
@@ -982,22 +946,21 @@ std::vector<StateSpaceGolden> exploreStateSpaceCorpus() {
     const Graph g = test::randomConsistentGraph(rng, opt);
     const TimedGraph plain{g, test::randomExecTimes(rng, g, 0, 20)};
     table[0].add(computeThroughput(plain, forced));
-    const auto capacities = minimalDeadlockFreeCapacities(g);
+    const auto capacities = test::liveCapacities(g);
     if (!capacities) {
       continue;
     }
     const TimedGraph capacitated = withCapacities(plain, *capacities);
     table[1].add(computeThroughput(capacitated, forced));
-    table[2].add(computeThroughput(capacitated, store16));
     TimedGraph unlimited = capacitated;
     unlimited.maxConcurrent.assign(unlimited.graph.actorCount(), 0);
-    table[3].add(computeThroughput(unlimited, forced));
+    table[2].add(computeThroughput(unlimited, forced));
   }
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 104729);
     const test::StaticOrderRing ring = test::randomStaticOrderRing(rng);
-    table[4].add(computeThroughput(ring.timed, ring.resources, forced));
-    table[5].add(computeThroughput(ring.timed, ring.resources));
+    table[3].add(computeThroughput(ring.timed, ring.resources, forced));
+    table[4].add(computeThroughput(ring.timed, ring.resources));
   }
   return table;
 }
@@ -1009,9 +972,8 @@ TEST(StateSpaceGoldenTest, CorpusMatchesPinnedVerdicts) {
   // Diverged, StepLimit.
   const std::vector<StateSpaceGolden> pinned = {
       {"plain", {68u, 13u, 0u, 6u, 63u, 0u}, 0xd9cc100ba20b1556u},
-      {"capacitated", {130u, 0u, 0u, 0u, 0u, 0u}, 0xec05b269b8224071u},
-      {"capacitated_store16", {130u, 0u, 0u, 0u, 0u, 0u}, 0xa95deaba09be8cf6u},
-      {"capacitated_auto_concurrency", {130u, 0u, 0u, 0u, 0u, 0u}, 0x6817d6675d2b0722u},
+      {"capacitated", {130u, 0u, 0u, 0u, 0u, 0u}, 0xfb0076ce9cb6c23fu},
+      {"capacitated_auto_concurrency", {130u, 0u, 0u, 0u, 0u, 0u}, 0xda1091d39fcca3b5u},
       {"ring_state_space", {47u, 13u, 0u, 0u, 0u, 0u}, 0xcfa074383d2acd9fu},
       {"ring_auto", {47u, 13u, 0u, 0u, 0u, 0u}, 0x65b7900365f15021u},
   };
@@ -1024,11 +986,10 @@ TEST(StateSpaceGoldenTest, CorpusMatchesPinnedVerdicts) {
 
 // ------------------------------------------------------ Token-game golden
 
-/// The deadlock check and the capacity probe over seeded random
-/// consistent graphs (2-8 actors, q up to 6, a third of them not
-/// provisioned to be live): the number of live graphs, and a digest of
-/// every deadlock verdict and every minimalDeadlockFreeCapacities()
-/// result (absent, or the vector), in corpus order.
+/// The deadlock check over seeded random consistent graphs (2-8
+/// actors, q up to 6, a third of them not provisioned to be live): the
+/// number of live graphs, and a digest of every deadlock verdict, in
+/// corpus order.
 TEST(TokenGameGoldenTest, CorpusMatchesPinnedVerdictsAndCapacities) {
   std::uint64_t live = 0;
   test::Fnv1a fnv;
@@ -1042,18 +1003,9 @@ TEST(TokenGameGoldenTest, CorpusMatchesPinnedVerdictsAndCapacities) {
     const bool deadlockFree = test::isDeadlockFree(g);
     live += deadlockFree ? 1 : 0;
     fnv.mix(deadlockFree ? 1 : 0);
-    const auto capacities = minimalDeadlockFreeCapacities(g);
-    if (!capacities) {
-      fnv.mix(std::numeric_limits<std::uint64_t>::max());
-      continue;
-    }
-    fnv.mix(capacities->size());
-    for (const std::uint64_t capacity : *capacities) {
-      fnv.mix(capacity);
-    }
   }
   EXPECT_EQ(live, 1540u);
-  EXPECT_EQ(fnv.hash, 0x2a9477486ebd47e7u);
+  EXPECT_EQ(fnv.hash, 0xe0eff77c4f6b49a5u);
 }
 
 TEST(TokenGameGoldenTest, IterationLongerThanTheLivelockBoundIsLive) {
@@ -1075,7 +1027,7 @@ struct DecisionCase {
 /// The corpus: seeded random graphs (2-5 actors, q up to 3, 0-20 cycles
 /// per actor, 30 % of them not provisioned to be live, half with
 /// self-concurrency limits in [0, 2]), each plain and capacitated to
-/// its minimal deadlock-free buffers; random static-order rings (exact,
+/// test::liveCapacities; random static-order rings (exact,
 /// first-firing-only and shuffled orders); inconsistent graphs; and the
 /// empty graph.
 std::vector<DecisionCase> engineDecisionCorpus() {
@@ -1094,7 +1046,7 @@ std::vector<DecisionCase> engineDecisionCorpus() {
         limit = static_cast<std::uint32_t>(rng.range(0, 2));
       }
     }
-    if (const auto capacities = minimalDeadlockFreeCapacities(g)) {
+    if (const auto capacities = test::liveCapacities(g)) {
       corpus.push_back({withCapacities(plain, *capacities), std::nullopt});
     }
     corpus.push_back({std::move(plain), std::nullopt});
@@ -1117,7 +1069,7 @@ std::vector<DecisionCase> engineDecisionCorpus() {
 }
 
 TEST(EngineDecisionGoldenTest, CorpusMatchesPinnedVerdicts) {
-  // Every graph of the corpus under four engine settings, through
+  // Every graph of the corpus under three engine settings, through
   // computeThroughput and through an IncrementalThroughput context
   // whose tokens are patched twice. The digest covers each result's
   // status, rational, engine, statesExplored, periodCycles and
@@ -1126,10 +1078,8 @@ TEST(EngineDecisionGoldenTest, CorpusMatchesPinnedVerdicts) {
   // the same whether the constructor or a compute() raises it.
   ThroughputOptions forcedStateSpace;
   forcedStateSpace.engine = ThroughputEngine::StateSpace;
-  ThroughputOptions tinyCap;
-  tinyCap.maxMcrHsdfSize = 3;
-  const std::array<ThroughputOptions, 4> settings = {ThroughputOptions{}, kForcedMcr,
-                                                     forcedStateSpace, tinyCap};
+  const std::array<ThroughputOptions, 3> settings = {ThroughputOptions{}, kForcedMcr,
+                                                     forcedStateSpace};
   test::Fnv1a fnv;
   std::uint64_t results = 0;
   std::uint64_t errors = 0;
@@ -1173,9 +1123,9 @@ TEST(EngineDecisionGoldenTest, CorpusMatchesPinnedVerdicts) {
       });
     }
   }
-  EXPECT_EQ(results, 1948u);
+  EXPECT_EQ(results, 1450u);
   EXPECT_EQ(errors, 22u);
-  EXPECT_EQ(fnv.hash, 0x2e6aa367678e64d2u);
+  EXPECT_EQ(fnv.hash, 0x132af48235b110au);
 }
 
 }  // namespace

@@ -131,11 +131,6 @@ TEST(StringsTest, SplitEmpty) {
   EXPECT_EQ(parts[0], "");
 }
 
-TEST(StringsTest, StartsWith) {
-  EXPECT_TRUE(startsWith("foobar", "foo"));
-  EXPECT_FALSE(startsWith("foo", "foobar"));
-}
-
 TEST(StringsTest, ParseU64) {
   EXPECT_EQ(parseU64("42"), 42u);
   EXPECT_EQ(parseU64(" 7 "), 7u);
@@ -155,12 +150,6 @@ TEST(StringsTest, ParseU32RejectsValuesAbove32Bits) {
 TEST(StringsTest, ParseI64) {
   EXPECT_EQ(parseI64("-42"), -42);
   EXPECT_THROW((void)parseI64("4.2"), ParseError);
-}
-
-TEST(StringsTest, ParseDouble) {
-  EXPECT_DOUBLE_EQ(parseDouble("0.5"), 0.5);
-  EXPECT_DOUBLE_EQ(parseDouble("-3e2"), -300.0);
-  EXPECT_THROW((void)parseDouble("abc"), ParseError);
 }
 
 TEST(StringsTest, Strprintf) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,6 +120,51 @@ inline sdf::Graph randomConsistentGraph(Rng& rng, const RandomGraphOptions& opt 
 /// computed here.
 inline bool isDeadlockFree(const sdf::Graph& g) {
   return analysis::isDeadlockFree(g, sdf::computeRepetitionVector(g).value());
+}
+
+/// Buffer capacities under which a live consistent graph stays live:
+/// each channel's analysis::capacityLowerBound when the graph
+/// capacitated to them completes an iteration, otherwise one
+/// iteration's tokens per channel, initialTokens + q[src]·prodRate,
+/// whose space never blocks a producer within one iteration. Self-edges
+/// stay uncapacitated.
+/// @return nullopt when the graph deadlocks with unbounded buffers
+inline std::optional<analysis::BufferCapacities> liveCapacities(const sdf::Graph& g) {
+  const std::vector<std::uint64_t> q = sdf::computeRepetitionVector(g).value();
+  if (!analysis::isDeadlockFree(g, q)) {
+    return std::nullopt;
+  }
+  analysis::BufferCapacities capacities(g.channelCount(), 0);
+  for (sdf::ChannelId c = 0; c < g.channelCount(); ++c) {
+    if (!g.channel(c).isSelfEdge()) {
+      capacities[c] = analysis::capacityLowerBound(g.channel(c));
+    }
+  }
+  if (analysis::isDeadlockFree(analysis::withCapacities(g, capacities), q)) {
+    return capacities;
+  }
+  for (sdf::ChannelId c = 0; c < g.channelCount(); ++c) {
+    const sdf::Channel& channel = g.channel(c);
+    if (!channel.isSelfEdge()) {
+      capacities[c] = channel.initialTokens + q[channel.src] * channel.prodRate;
+    }
+  }
+  return capacities;
+}
+
+/// A two-actor cycle whose HSDF expansion is just above the MCR size
+/// cap: `fwd` a -> b and `back` b -> a, both at rates 500,001:500,001,
+/// with one firing's tokens on `back`. q = [1, 1], so the state-space
+/// engine recurs within a few steps, while every token is an HSDF edge
+/// and the size estimate is 1,000,008.
+inline sdf::Graph oversizedExpansionCycle() {
+  constexpr std::uint32_t kRate = 500'001;
+  sdf::Graph g("oversized");
+  const auto a = g.addActor("a");
+  const auto b = g.addActor("b");
+  g.connect(a, kRate, b, kRate, 0, "fwd");
+  g.connect(b, kRate, a, kRate, kRate, "back");
+  return g;
 }
 
 /// A complete application model around a graph: one "microblaze"
